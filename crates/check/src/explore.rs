@@ -43,6 +43,7 @@
 //! each candidate), and reported with both raw and shrunk tokens.
 
 use crate::menu::{FdMenu, MenuOracle, QueryRecord};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use upsilon_analysis::{RunConditionsSpec, RunSpec};
@@ -891,6 +892,23 @@ impl<'a, D: FdValue> Cursor<'a, D> {
         }
     }
 
+    /// Failure-detector queries per process on the current path: kept by
+    /// the live session, counted from the run's samples on the stateless
+    /// cursor.
+    fn query_counts(&self) -> Cow<'_, [u64]> {
+        match self {
+            Cursor::Turbo(c) => Cow::Borrowed(c.session.query_counts()),
+            Cursor::Stateless(c) => {
+                let run = &c.top().run;
+                let mut counts = vec![0u64; run.n_plus_1()];
+                for (_, p, _) in run.fd_samples() {
+                    counts[p.index()] += 1;
+                }
+                Cow::Owned(counts)
+            }
+        }
+    }
+
     /// The canonical state fingerprint of the current node (see
     /// [`trace_fingerprint`]).
     fn fingerprint(&self) -> u64 {
@@ -1051,16 +1069,13 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
     fn dedup_key(&self, picks: &[Vec<u32>]) -> (u64, Option<Vec<usize>>) {
         let run = self.cursor.run();
         let n = self.cfg.n_plus_1;
-        let mut qcounts = vec![0usize; n];
-        for (_, p, _) in run.fd_samples() {
-            qcounts[p.index()] += 1;
-        }
+        let qcounts = self.cursor.query_counts();
         // An explicit 0 and a missing entry play the same candidate:
         // strip trailing zeros so the two key identically.
         let suffix_of = |i: usize| -> &[u32] {
             let suffix = picks
                 .get(i)
-                .map(|v| v.get(qcounts[i]..).unwrap_or(&[]))
+                .map(|v| v.get(qcounts[i] as usize..).unwrap_or(&[]))
                 .unwrap_or(&[]);
             match suffix.iter().rposition(|&x| x != 0) {
                 Some(last) => &suffix[..=last],

@@ -24,7 +24,20 @@
 //!   (crash delivery times are path-determined and already reflected in the
 //!   per-process subsequences).
 //!
+//! Both layers are streaming or commutative, so nothing forces a rehash of
+//! the whole run: a [`Session`] recording at [`TraceLevel::Full`] maintains
+//! the per-process digests and the memory sum as it steps (one
+//! `absorb_event` per step, one object term swapped) and combines the
+//! cached words per node. The from-scratch [`trace_fingerprint`] and
+//! [`orbit_trace_fingerprint`] remain the reference — the stateless
+//! cursor, swarm and the tests use them, and debug builds assert the
+//! session's words against them at every fingerprint. On the paper's own
+//! checks (Fig. 1, Fig. 2 and the mutating Fig. 1 sample) dedup prunes no
+//! node, so with the rehash gone its remaining cost is the full trace it
+//! requires.
+//!
 //! [`TraceLevel::Full`]: crate::TraceLevel::Full
+//! [`Session`]: crate::Session
 
 use crate::object::Memory;
 use crate::oracle::FdValue;
@@ -37,7 +50,7 @@ pub(crate) const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
 /// An FNV-1a accumulator that implements [`fmt::Write`], so `Debug`/`Display`
 /// renderings hash without materializing strings.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct FnvWrite(u64);
 
 impl Default for FnvWrite {
@@ -77,50 +90,85 @@ impl fmt::Write for FnvWrite {
     }
 }
 
-/// Digest of one process's event subsequence (times excluded — see the
-/// module docs for why that is exactly the Mazurkiewicz-invariant choice).
+/// Absorbs one event into its process's running digest: the per-event
+/// byte stream of [`trace_fingerprint`] (times excluded — see the module
+/// docs for why that is exactly the Mazurkiewicz-invariant choice). The
+/// one definition both the from-scratch reference and the live
+/// [`Session`](crate::Session) hash through.
+pub(crate) fn absorb_event<D: FdValue>(w: &mut FnvWrite, kind: &StepKind<D>, memory: &Memory) {
+    match kind {
+        StepKind::Op {
+            object,
+            access,
+            sig,
+            detail,
+        } => {
+            let _ = w.write_str("O/");
+            match memory.name_of(*object) {
+                Some(key) => {
+                    let _ = write!(w, "{key}");
+                }
+                None => {
+                    // An object the final memory no longer knows cannot
+                    // occur (memory only grows); keep the id as a
+                    // defensive fallback rather than panicking mid-hash.
+                    let _ = write!(w, "{object}");
+                }
+            }
+            let _ = write!(w, "/{access}");
+            if let Some(sig) = sig {
+                let _ = write!(w, "/{sig:?}");
+            }
+            if let Some(detail) = detail {
+                let _ = w.write_str("/");
+                let _ = w.write_str(detail);
+            }
+        }
+        StepKind::Query(d) => {
+            let _ = write!(w, "Q/{d:?}");
+        }
+        StepKind::Output(o) => {
+            let _ = write!(w, "P/{o}");
+        }
+        StepKind::NoOp => {
+            let _ = w.write_str("N");
+        }
+    }
+    let _ = w.write_str(";");
+}
+
+/// Digest of one process's event subsequence, from scratch.
 fn proc_digest<D: FdValue>(run: &Run<D>, memory: &Memory, p: crate::ProcessId) -> u64 {
     let mut w = FnvWrite::new();
     for ev in run.events_of(p) {
-        match &ev.kind {
-            StepKind::Op {
-                object,
-                access,
-                sig,
-                detail,
-            } => {
-                let _ = w.write_str("O/");
-                match memory.name_of(*object) {
-                    Some(key) => {
-                        let _ = write!(w, "{key}");
-                    }
-                    None => {
-                        // An object the final memory no longer knows cannot
-                        // occur (memory only grows); keep the id as a
-                        // defensive fallback rather than panicking mid-hash.
-                        let _ = write!(w, "{object}");
-                    }
-                }
-                let _ = write!(w, "/{access}");
-                if let Some(sig) = sig {
-                    let _ = write!(w, "/{sig:?}");
-                }
-                if let Some(detail) = detail {
-                    let _ = w.write_str("/");
-                    let _ = w.write_str(detail);
-                }
-            }
-            StepKind::Query(d) => {
-                let _ = write!(w, "Q/{d:?}");
-            }
-            StepKind::Output(o) => {
-                let _ = write!(w, "P/{o}");
-            }
-            StepKind::NoOp => {
-                let _ = w.write_str("N");
-            }
-        }
-        let _ = w.write_str(";");
+        absorb_event(&mut w, &ev.kind, memory);
+    }
+    w.finish()
+}
+
+/// The crash/finish status bytes of process `i`.
+fn status_of<D: FdValue>(run: &Run<D>, i: usize) -> [u8; 2] {
+    let p = crate::ProcessId(i);
+    [
+        u8::from(run.crash_observed(p).is_some()),
+        u8::from(run.finished(p)),
+    ]
+}
+
+/// Combines a memory digest and per-process event digests into the
+/// pid-order fingerprint (the outer layer of [`trace_fingerprint`]).
+pub(crate) fn combine<D: FdValue>(
+    run: &Run<D>,
+    memory64: u64,
+    digest_of: impl Fn(usize) -> u64,
+) -> u64 {
+    let mut w = FnvWrite::new();
+    w.write_u64(memory64);
+    w.write_u64(run.n_plus_1() as u64);
+    for i in 0..run.n_plus_1() {
+        w.write_u64(i as u64);
+        w.write_u64(digest_of(i));
+        w.write_bytes(&status_of(run, i));
     }
     w.finish()
 }
@@ -128,20 +176,12 @@ fn proc_digest<D: FdValue>(run: &Run<D>, memory: &Memory, p: crate::ProcessId) -
 /// The canonical 64-bit fingerprint of a run prefix against its final
 /// shared memory. Equal across Mazurkiewicz-equivalent prefixes; see the
 /// module docs for the soundness contract (full tracing required when used
-/// as a dedup key).
+/// as a dedup key). Computed from scratch: the reference the session's
+/// incremental digests must match bit for bit.
 pub fn trace_fingerprint<D: FdValue>(run: &Run<D>, memory: &Memory) -> u64 {
-    let mut w = FnvWrite::new();
-    w.write_u64(memory.fingerprint64());
-    w.write_u64(run.n_plus_1() as u64);
-    for i in 0..run.n_plus_1() {
-        let p = crate::ProcessId(i);
-        w.write_u64(i as u64);
-        w.write_u64(proc_digest(run, memory, p));
-        let crashed = run.crash_observed(p).is_some();
-        let finished = run.finished(p);
-        w.write_bytes(&[u8::from(crashed), u8::from(finished)]);
-    }
-    w.finish()
+    combine(run, memory.fingerprint64(), |i| {
+        proc_digest(run, memory, crate::ProcessId(i))
+    })
 }
 
 /// An orbit-canonical fingerprint: the digest of a run prefix *up to
@@ -184,17 +224,33 @@ pub fn orbit_trace_fingerprint<D: FdValue>(
     class_of: &[u32],
     extra: &[u64],
 ) -> OrbitFingerprint {
+    combine_orbit(
+        run,
+        memory.fingerprint64(),
+        |i| proc_digest(run, memory, crate::ProcessId(i)),
+        class_of,
+        extra,
+    )
+}
+
+/// Combines a memory digest and per-process event digests into the
+/// orbit-canonical fingerprint (the outer layer of
+/// [`orbit_trace_fingerprint`]).
+pub(crate) fn combine_orbit<D: FdValue>(
+    run: &Run<D>,
+    memory64: u64,
+    digest_of: impl Fn(usize) -> u64,
+    class_of: &[u32],
+    extra: &[u64],
+) -> OrbitFingerprint {
     let n = run.n_plus_1();
     debug_assert_eq!(class_of.len(), n);
     debug_assert_eq!(extra.len(), n);
     let mut keyed: Vec<(u32, u64, u64, usize)> = (0..n)
         .map(|i| {
-            let p = crate::ProcessId(i);
             let mut w = FnvWrite::new();
-            w.write_u64(proc_digest(run, memory, p));
-            let crashed = run.crash_observed(p).is_some();
-            let finished = run.finished(p);
-            w.write_bytes(&[u8::from(crashed), u8::from(finished)]);
+            w.write_u64(digest_of(i));
+            w.write_bytes(&status_of(run, i));
             (
                 class_of.get(i).copied().unwrap_or(i as u32),
                 w.finish(),
@@ -209,7 +265,7 @@ pub fn orbit_trace_fingerprint<D: FdValue>(
     keyed.sort_unstable();
     let mut canon_of = vec![0usize; n];
     let mut w = FnvWrite::new();
-    w.write_u64(memory.fingerprint64());
+    w.write_u64(memory64);
     w.write_u64(n as u64);
     for (pos, (class, digest, ex, pid)) in keyed.iter().enumerate() {
         canon_of[*pid] = pos;

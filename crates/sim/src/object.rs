@@ -334,15 +334,24 @@ impl Memory {
     /// (object ids are assigned at first touch, which varies across
     /// equivalent interleavings; key names do not).
     pub fn fingerprint64(&self) -> u64 {
-        let mut acc = 0u64;
-        for (i, o) in self.objects.iter().enumerate() {
-            let mut w = crate::fingerprint::FnvWrite::new();
-            let _ = write!(w, "{}:{}=", self.names[i], o.type_name());
-            let _ = o.write_state(&mut w);
-            let h = w.finish();
-            acc = acc.wrapping_add(h ^ h.rotate_left(31));
-        }
-        acc
+        (0..self.objects.len()).fold(0u64, |acc, i| acc.wrapping_add(self.fingerprint_term(i)))
+    }
+
+    /// Object `i`'s term in the [`Memory::fingerprint64`] sum — what a
+    /// running sum swaps out and back in when the object changes.
+    pub(crate) fn fingerprint_term(&self, i: usize) -> u64 {
+        let mut w = crate::fingerprint::FnvWrite::new();
+        let _ = write!(w, "{}:{}=", self.names[i], self.objects[i].type_name());
+        let _ = self.objects[i].write_state(&mut w);
+        let h = w.finish();
+        h ^ h.rotate_left(31)
+    }
+
+    /// Whether object `i` is the very same copy-on-write instance in both
+    /// memories — then its state is equal, since a shared instance is never
+    /// mutated in place.
+    pub(crate) fn shares_object(&self, other: &Memory, i: usize) -> bool {
+        Arc::ptr_eq(&self.objects[i], &other.objects[i])
     }
 
     /// Iterates over `(id, key, type name)` for every allocated object.

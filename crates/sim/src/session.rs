@@ -21,6 +21,15 @@
 //!   into its future — one poll per completed step, no shared-memory
 //!   traffic, no step reports. Determinism of algorithms makes the rebuilt
 //!   machine bit-identical to the lost one.
+//! * **Incremental fingerprints** — a session that records a
+//!   [`TraceLevel::Full`] trace (the level fingerprint dedup requires)
+//!   keeps its state fingerprint up to date as it steps: each event is
+//!   absorbed into its process's running digest, and the touched object's
+//!   term in the memory digest is swapped for its new value. Fingerprinting
+//!   a node then costs `O(n + 1)` instead of a rehash of the whole path and
+//!   every object; the from-scratch [`trace_fingerprint`] stays the
+//!   reference the cached words must equal bit for bit. Sessions at
+//!   [`TraceLevel::Steps`] keep no digests and fingerprint from scratch.
 //!
 //! The restore contract mirrors the replay-token contract: the caller
 //! supplies a fresh [`Oracle`] positioned as it was at the save point
@@ -33,7 +42,10 @@
 use crate::builder::AlgoFn;
 use crate::engine::{Engine as _, EngineShutdown, InlineEngine, ProcStatus};
 use crate::failure::FailurePattern;
-use crate::fingerprint::trace_fingerprint;
+use crate::fingerprint::{
+    absorb_event, combine, combine_orbit, orbit_trace_fingerprint, trace_fingerprint, FnvWrite,
+    OrbitFingerprint,
+};
 use crate::object::Memory;
 use crate::oracle::{FdValue, Oracle};
 use crate::process::ProcessId;
@@ -65,6 +77,9 @@ pub enum SessionStep {
 struct ProcSave {
     steps_by: u64,
     query_count: u64,
+    /// The process's running event digest (idle unless the session keeps
+    /// [`Digests`]).
+    digest: FnvWrite,
     log_len: usize,
     last_output: Option<Output>,
     crash_observed: Option<Time>,
@@ -76,9 +91,13 @@ struct ProcSave {
 
 /// A snapshot of session state at one node, sufficient to rewind back to it.
 ///
-/// Taking one is two small allocations plus a copy-on-write [`Memory`]
-/// clone (reference-count bumps); object state is physically copied only
-/// when later steps mutate it.
+/// Taking one is two small allocations — the per-process vector and the
+/// memory's object table — plus a copy-on-write [`Memory`] clone
+/// (reference-count bumps); object state is physically copied only when
+/// later steps mutate it. The incremental fingerprint adds no allocation:
+/// each process's running digest rides in its per-process slot, and the
+/// memory digest is not saved at all — restore re-derives the terms of the
+/// objects the detour replaced (see [`Session::restore`]).
 #[derive(Clone, Debug)]
 pub struct SessionSave {
     memory: Memory,
@@ -121,6 +140,64 @@ pub struct Session<D: FdValue> {
     /// Per-process journal of completed steps: `(time, result clone)` — the
     /// raw material fast-forward restore replays into fresh futures.
     logs: Vec<Vec<(Time, Box<dyn AnyReply>)>>,
+    /// The running fingerprint, kept only at [`TraceLevel::Full`].
+    digests: Option<Digests>,
+}
+
+/// The words [`trace_fingerprint`] is combined from, maintained as the
+/// session steps instead of being recomputed from the whole run.
+struct Digests {
+    /// Each process's streaming digest over its own events so far.
+    procs: Vec<FnvWrite>,
+    /// Each allocated object's term in [`Memory::fingerprint64`].
+    terms: Vec<u64>,
+    /// The wrapping sum of `terms`: the current [`Memory::fingerprint64`].
+    memory64: u64,
+}
+
+impl Digests {
+    /// Absorbs process `i`'s new event into its digest and brings the memory terms
+    /// up to date: objects allocated by the step enter the sum, and the
+    /// object the step touched has its old term swapped for the new one.
+    fn absorb<D: FdValue>(&mut self, i: usize, kind: &StepKind<D>, memory: &Memory) {
+        absorb_event(&mut self.procs[i], kind, memory);
+        let known = self.terms.len();
+        for id in known..memory.len() {
+            let term = memory.fingerprint_term(id);
+            self.terms.push(term);
+            self.memory64 = self.memory64.wrapping_add(term);
+        }
+        if let StepKind::Op { object, .. } = kind {
+            let id = object.0 as usize;
+            if id < known {
+                self.set_term(id, memory.fingerprint_term(id));
+            }
+        }
+    }
+
+    fn set_term(&mut self, id: usize, term: u64) {
+        self.memory64 = self
+            .memory64
+            .wrapping_sub(self.terms[id])
+            .wrapping_add(term);
+        self.terms[id] = term;
+    }
+
+    /// Rewinds the memory terms from `from` (the live memory) to `to` (an
+    /// ancestor's): objects allocated since drop out, and only objects
+    /// whose copy-on-write instance differs — those the detour mutated —
+    /// are re-hashed.
+    fn rewind_memory(&mut self, from: &Memory, to: &Memory) {
+        debug_assert!(to.len() <= self.terms.len());
+        for term in self.terms.drain(to.len()..) {
+            self.memory64 = self.memory64.wrapping_sub(term);
+        }
+        for id in 0..self.terms.len() {
+            if !from.shares_object(to, id) {
+                self.set_term(id, to.fingerprint_term(id));
+            }
+        }
+    }
 }
 
 impl<D: FdValue> fmt::Debug for Session<D> {
@@ -151,6 +228,11 @@ impl<D: FdValue> Session<D> {
             "factory must yield one algorithm slot per process"
         );
         let has_algo: Vec<bool> = instances.iter().map(Option::is_some).collect();
+        let digests = (trace_level == TraceLevel::Full).then(|| Digests {
+            procs: vec![FnvWrite::new(); n_plus_1],
+            terms: Vec::new(),
+            memory64: 0,
+        });
         let world = World {
             memory: Memory::new(),
             oracle,
@@ -181,6 +263,7 @@ impl<D: FdValue> Session<D> {
             query_counts: vec![0; n_plus_1],
             t: Time::ZERO,
             logs: (0..n_plus_1).map(|_| Vec::new()).collect(),
+            digests,
         };
         session.settle_crashes();
         session.recompute_stop();
@@ -217,18 +300,43 @@ impl<D: FdValue> Session<D> {
         f(&self.engine.world().borrow().memory)
     }
 
+    /// Recorded failure-detector queries per process so far.
+    pub fn query_counts(&self) -> &[u64] {
+        &self.query_counts
+    }
+
     /// The canonical fingerprint of the current run prefix (see
-    /// [`trace_fingerprint`]).
+    /// [`trace_fingerprint`]): combined from the running digests at
+    /// [`TraceLevel::Full`], computed from scratch otherwise.
     pub fn fingerprint(&self) -> u64 {
-        self.with_memory(|memory| trace_fingerprint(&self.run, memory))
+        let reference = || self.with_memory(|memory| trace_fingerprint(&self.run, memory));
+        let Some(d) = &self.digests else {
+            return reference();
+        };
+        let fp = combine(&self.run, d.memory64, |i| d.procs[i].finish());
+        debug_assert_eq!(fp, reference(), "incremental fingerprint drifted");
+        fp
     }
 
     /// The orbit-canonical fingerprint of the current run prefix (see
-    /// [`orbit_trace_fingerprint`](crate::orbit_trace_fingerprint)).
-    pub fn orbit_fingerprint(&self, class_of: &[u32], extra: &[u64]) -> crate::OrbitFingerprint {
-        self.with_memory(|memory| {
-            crate::fingerprint::orbit_trace_fingerprint(&self.run, memory, class_of, extra)
-        })
+    /// [`orbit_trace_fingerprint`]), from the running digests at
+    /// [`TraceLevel::Full`] like [`Session::fingerprint`].
+    pub fn orbit_fingerprint(&self, class_of: &[u32], extra: &[u64]) -> OrbitFingerprint {
+        let reference = || {
+            self.with_memory(|memory| orbit_trace_fingerprint(&self.run, memory, class_of, extra))
+        };
+        let Some(d) = &self.digests else {
+            return reference();
+        };
+        let ofp = combine_orbit(
+            &self.run,
+            d.memory64,
+            |i| d.procs[i].finish(),
+            class_of,
+            extra,
+        );
+        debug_assert_eq!(ofp, reference(), "incremental orbit fingerprint drifted");
+        ofp
     }
 
     /// Grants one step to `p` (which must be [`eligible`](Session::eligible))
@@ -257,6 +365,9 @@ impl<D: FdValue> Session<D> {
                         self.last_output[i] = Some(*o);
                     }
                     StepKind::Op { .. } | StepKind::NoOp => {}
+                }
+                if let Some(d) = &mut self.digests {
+                    d.absorb(i, &kind, &self.engine.world().borrow().memory);
                 }
                 self.run.events.push(Event {
                     time: t,
@@ -307,6 +418,10 @@ impl<D: FdValue> Session<D> {
             .map(|i| ProcSave {
                 steps_by: self.run.steps_by[i],
                 query_count: self.query_counts[i],
+                digest: self
+                    .digests
+                    .as_ref()
+                    .map_or_else(FnvWrite::new, |d| d.procs[i]),
                 log_len: self.logs[i].len(),
                 last_output: self.last_output[i],
                 crash_observed: self.run.crash_observed[i],
@@ -334,10 +449,18 @@ impl<D: FdValue> Session<D> {
     /// `oracle` must be a fresh oracle positioned as it was at the save
     /// point; [`SessionSave::query_counts`] carries what a deterministic
     /// oracle needs for that. Suspended futures are rebuilt from the factory
-    /// and fast-forwarded from the recorded step results.
+    /// and fast-forwarded from the recorded step results. Running digests
+    /// come back from the save; memory terms are re-hashed only for the
+    /// objects the detour mutated.
     pub fn restore(&mut self, save: &SessionSave, oracle: Box<dyn Oracle<D>>) {
         let n_plus_1 = self.n_plus_1();
         assert_eq!(save.procs.len(), n_plus_1);
+        if let Some(d) = &mut self.digests {
+            d.rewind_memory(&self.engine.world().borrow().memory, &save.memory);
+            for (digest, p) in d.procs.iter_mut().zip(&save.procs) {
+                *digest = p.digest;
+            }
+        }
         self.engine.reset_world(save.memory.clone(), oracle);
         // A suspended future's state is a function of its *own* step log
         // alone (steps are the only awaits), so only processes whose log or

@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use upsilon_sim::{
-    algo, Access, FailurePattern, Key, NullOracle, ObjectType, ProcessId, Session, SessionAlgos,
-    TraceLevel,
+    algo, orbit_trace_fingerprint, trace_fingerprint, Access, FailurePattern, Key, NullOracle,
+    ObjectType, ProcessId, Session, SessionAlgos, TraceLevel,
 };
 
 /// A one-value register; `Write` overwrites, `Read` returns the content.
@@ -104,8 +104,25 @@ fn drive(session: &mut Session<()>, grants: &[usize]) {
 /// The run's full observable state, byte for byte: the `Debug` rendering
 /// covers pattern, every event (kind, op signature, response detail),
 /// outputs, fd samples, and status vectors.
+///
+/// Also checks the session's incrementally maintained fingerprints against
+/// the from-scratch reference, so every restore and crash detour below
+/// exercises the running digests too.
 fn observed(session: &Session<()>) -> (String, u64) {
-    (format!("{:?}", session.run()), session.fingerprint())
+    let n = session.n_plus_1();
+    let reference = session.with_memory(|memory| trace_fingerprint(session.run(), memory));
+    assert_eq!(session.fingerprint(), reference);
+    // Pairs of adjacent pids share a class, and the extra words differ, so
+    // both the sort and the per-process extras matter.
+    let class_of: Vec<u32> = (0..n).map(|i| (i / 2) as u32).collect();
+    let extra: Vec<u64> = (0..n).map(|i| 3 * i as u64 + 1).collect();
+    let orbit_reference = session
+        .with_memory(|memory| orbit_trace_fingerprint(session.run(), memory, &class_of, &extra));
+    assert_eq!(
+        session.orbit_fingerprint(&class_of, &extra),
+        orbit_reference
+    );
+    (format!("{:?}", session.run()), reference)
 }
 
 fn pid_schedule(n: usize, choices: &[u8]) -> Vec<usize> {
