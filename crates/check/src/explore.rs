@@ -56,6 +56,20 @@ use upsilon_sim::{
     StealScope, StepKind, Time, TraceLevel,
 };
 
+/// The interned id of a [`Footprint`] within one explorer (see
+/// [`Footprints`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct FpId(u32);
+
+impl FpId {
+    /// [`Footprint::Local`], interned first by every explorer.
+    const LOCAL: FpId = FpId(0);
+}
+
+/// A sleep set: processes whose subtree under the named step was already
+/// explored at an ancestor.
+type SleepSet = Vec<(ProcessId, FpId)>;
+
 /// One scheduling decision of the explorer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Choice {
@@ -66,7 +80,7 @@ pub enum Choice {
 }
 
 /// What one executed step touched, for the conflict relation.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Footprint {
     /// Query, output or no-op: independent of every other step.
     Local,
@@ -79,9 +93,8 @@ pub enum Footprint {
         /// The op's signature resolved against the generated commutativity
         /// matrix (`upsilon_sim::commute`), when the exploration records
         /// signatures and the object type is analyzed. `None` falls back to
-        /// the `Access` lattice alone. Shared: resolutions are memoized per
-        /// exploration and footprints are cloned into sleep sets freely.
-        sig: Option<Arc<ResolvedOp>>,
+        /// the `Access` lattice alone.
+        sig: Option<ResolvedOp>,
     },
 }
 
@@ -117,6 +130,136 @@ impl Footprint {
             }
             _ => false,
         }
+    }
+}
+
+/// Every distinct footprint one explorer has met, numbered once: sleep sets
+/// and the dedup table hold [`FpId`]s, and [`Footprint::conflicts_with`]
+/// is evaluated once per id pair.
+///
+/// Ids name *resolved* footprints, so two recorded signatures that resolve
+/// alike (or both fail to resolve) share an id exactly as their footprints
+/// compare equal. A step is mapped to its id through a cache keyed by the
+/// recorded `(key, access, sig)` triple, hashed from its raw bytes; a
+/// cache hit costs one hash and one equality check, and signatures are
+/// parsed only on the first miss.
+struct Footprints {
+    /// The footprint of each id; `FpId::LOCAL` is [`Footprint::Local`].
+    fps: Vec<Footprint>,
+    /// Footprint → id, consulted when a new triple or a frontier job's
+    /// footprint arrives.
+    ids: BTreeMap<Footprint, FpId>,
+    /// Raw-triple hash → the triples seen with that hash, with their ids.
+    steps: BTreeMap<u64, Vec<StepFp>>,
+    /// `conflicts[a][b]`: whether `a` and `b` are dependent, once
+    /// evaluated. Rows grow on demand.
+    conflicts: Vec<Vec<Option<bool>>>,
+}
+
+/// One recorded `(key, access, sig)` triple and the id it resolved to.
+struct StepFp {
+    key: Key,
+    access: Access,
+    sig: Option<OpSig>,
+    id: FpId,
+}
+
+impl Footprints {
+    fn new() -> Self {
+        let mut fps = Footprints {
+            fps: Vec::new(),
+            ids: BTreeMap::new(),
+            steps: BTreeMap::new(),
+            conflicts: Vec::new(),
+        };
+        let local = fps.intern(&Footprint::Local);
+        debug_assert_eq!(local, FpId::LOCAL);
+        fps
+    }
+
+    /// The id of `fp`, allocating the next one on first sight.
+    fn intern(&mut self, fp: &Footprint) -> FpId {
+        if let Some(&id) = self.ids.get(fp) {
+            return id;
+        }
+        let id = FpId(u32::try_from(self.fps.len()).expect("fewer than 2^32 footprints"));
+        self.fps.push(fp.clone());
+        self.ids.insert(fp.clone(), id);
+        self.conflicts.push(Vec::new());
+        id
+    }
+
+    /// The footprint an id names.
+    fn get(&self, id: FpId) -> &Footprint {
+        &self.fps[id.0 as usize]
+    }
+
+    /// The id of the last step of `run`.
+    fn of_last_step<D: FdValue>(&mut self, run: &Run<D>, memory: &Memory) -> FpId {
+        match &run.events().last().expect("step child has an event").kind {
+            StepKind::Op {
+                object,
+                access,
+                sig,
+                ..
+            } => {
+                let key = memory
+                    .name_of(*object)
+                    .expect("every allocated object is named");
+                self.of_op(key, *access, sig.as_ref())
+            }
+            _ => FpId::LOCAL,
+        }
+    }
+
+    /// The id of one operation step, through the raw-triple cache.
+    fn of_op(&mut self, key: &Key, access: Access, sig: Option<&OpSig>) -> FpId {
+        let mut h = FnvWrite::new();
+        h.write_bytes(key.name().as_bytes());
+        for &i in key.indices() {
+            h.write_u64(i);
+        }
+        h.write_u64(match access {
+            Access::Read => 0,
+            Access::Write(cell) => 1 + (u64::from(cell) << 1),
+            Access::Update => 2,
+        });
+        if let Some(sig) = sig {
+            h.write_bytes(sig.op.as_bytes());
+        }
+        let hash = h.finish();
+        let hit = self.steps.get(&hash).and_then(|seen| {
+            seen.iter()
+                .find(|s| s.access == access && s.key == *key && s.sig.as_ref() == sig)
+        });
+        if let Some(s) = hit {
+            return s.id;
+        }
+        let id = self.intern(&Footprint::Obj {
+            key: key.clone(),
+            access,
+            sig: sig.and_then(resolve),
+        });
+        self.steps.entry(hash).or_default().push(StepFp {
+            key: key.clone(),
+            access,
+            sig: sig.cloned(),
+            id,
+        });
+        id
+    }
+
+    /// [`Footprint::conflicts_with`] of two ids, memoized.
+    fn conflicts(&mut self, a: FpId, b: FpId) -> bool {
+        if a == FpId::LOCAL || b == FpId::LOCAL {
+            return false;
+        }
+        let (a, b) = (a.0 as usize, b.0 as usize);
+        let row = &mut self.conflicts[a];
+        if row.len() <= b {
+            row.resize(self.fps.len(), None);
+        }
+        *row[b].get_or_insert_with(|| self.fps[a].conflicts_with(&self.fps[b]))
     }
 }
 
@@ -162,7 +305,8 @@ pub struct CheckConfig<D: FdValue> {
     /// are functions of per-process projections, which equal fingerprints
     /// pin down); the differential suite locks verdict equality per
     /// scenario. Requires `turbo` (fingerprints come from the live session)
-    /// and implies full trace detail so op responses enter the digest.
+    /// and records the session at [`TraceLevel::Digest`], so each op's
+    /// response enters the digest as one word, with no rendered text.
     pub dedup: bool,
     /// Process-symmetry reduction (on by default; the identity unless
     /// [`CheckConfig::orbit`] is non-trivial): collapse crash injections to
@@ -612,37 +756,6 @@ fn crash_allowed(path: &[Choice], p: ProcessId) -> bool {
     }
 }
 
-/// Memoized signature resolutions: `resolve` re-parses the op's `Debug`
-/// rendering, and the hot loop resolves the same few signatures at every
-/// stepped child.
-type ResolveMemo = BTreeMap<OpSig, Option<Arc<ResolvedOp>>>;
-
-fn footprint_of<D: FdValue>(run: &Run<D>, memory: &Memory, memo: &mut ResolveMemo) -> Footprint {
-    match &run.events().last().expect("step child has an event").kind {
-        StepKind::Op {
-            object,
-            access,
-            sig,
-            ..
-        } => Footprint::Obj {
-            key: memory
-                .name_of(*object)
-                .expect("every allocated object is named")
-                .clone(),
-            access: *access,
-            sig: sig.as_ref().and_then(|s| {
-                if let Some(cached) = memo.get(s) {
-                    return cached.clone();
-                }
-                let resolved = resolve(s).map(Arc::new);
-                memo.insert(s.clone(), resolved.clone());
-                resolved
-            }),
-        },
-        _ => Footprint::Local,
-    }
-}
-
 /// Whether a configuration runs its nodes on the snapshot-resume session.
 /// The thread engine's state machines live on OS threads and cannot be
 /// rewound, so `turbo` silently degrades to stateless re-execution there.
@@ -675,11 +788,12 @@ impl<'a, D: FdValue> TurboCursor<'a, D> {
         let oracle = MenuOracle::new(Arc::clone(&cfg.menu), cfg.n_plus_1, picks.clone());
         let log = oracle.log();
         // Dedup digests must see op responses (two states that answered the
-        // same op differently must hash apart), which only the full trace
-        // records; without dedup the session matches the stateless replay's
-        // trace level byte for byte.
+        // same op differently must hash apart): the digest level records
+        // each op's `op -> resp` digest without rendering text. Without
+        // dedup the session matches the stateless replay's trace level byte
+        // for byte.
         let trace_level = if cfg.dedup {
-            TraceLevel::Full
+            TraceLevel::Digest
         } else {
             TraceLevel::Steps
         };
@@ -864,15 +978,15 @@ impl<'a, D: FdValue> Cursor<'a, D> {
         matches!(self, Cursor::Turbo(_))
     }
 
-    /// Footprint of the node's last (just-pushed) step.
-    fn last_footprint(&self, memo: &mut ResolveMemo) -> Footprint {
+    /// Interned footprint of the node's last (just-pushed) step.
+    fn last_footprint(&self, fps: &mut Footprints) -> FpId {
         match self {
             Cursor::Turbo(c) => c
                 .session
-                .with_memory(|m| footprint_of(c.session.run(), m, memo)),
+                .with_memory(|m| fps.of_last_step(c.session.run(), m)),
             Cursor::Stateless(c) => {
                 let exec = c.top();
-                footprint_of(&exec.run, &exec.memory, memo)
+                fps.of_last_step(&exec.run, &exec.memory)
             }
         }
     }
@@ -965,15 +1079,115 @@ fn canon_crash_tag(path: &[Choice], canon_of: &[usize]) -> u64 {
     }
 }
 
-/// One fully-explored subtree in the dedup table: pruning a revisit is
-/// sound only against an entry whose exploration was at least as deep and
-/// at least as unrestricted.
-struct StoredNode {
-    remaining: usize,
-    sleep: Vec<(ProcessId, Footprint)>,
+/// The dedup table: fingerprint → fully explored subtrees, filled
+/// post-order. Pruning a revisit is sound only against an entry whose
+/// exploration was at least as deep and at least as unrestricted.
+///
+/// Open addressing with linear probing, keyed by the fingerprint itself
+/// (already uniformly hashed, so the slot is its folded low bits). A slot
+/// is empty when its head is `NIL`, so every `u64` is a valid key. Each key
+/// heads a chain of stored nodes; nodes and their sleep entries live in
+/// two flat arenas, so an insert allocates nothing in the steady state.
+/// Deterministic: the table is never iterated.
+struct VisitedTable {
+    /// `(fingerprint, head node)`; `head == NIL` marks an empty slot.
+    slots: Vec<(u64, u32)>,
+    /// Occupied slots.
+    keys: usize,
+    nodes: Vec<StoredNode>,
+    sleep: SleepSet,
 }
 
-/// A deferred subtree handed to the work-stealing pool.
+/// One fully explored subtree: its remaining depth, its sleep set (a run of
+/// the sleep arena) and the next node stored under the same fingerprint.
+struct StoredNode {
+    remaining: u32,
+    sleep_start: u32,
+    sleep_len: u32,
+    next: u32,
+}
+
+const NIL: u32 = u32::MAX;
+
+impl VisitedTable {
+    fn new() -> Self {
+        VisitedTable {
+            slots: vec![(0, NIL); 16],
+            keys: 0,
+            nodes: Vec::new(),
+            sleep: Vec::new(),
+        }
+    }
+
+    /// The slot holding `key`, or the empty slot where it would go.
+    fn slot(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (key ^ (key >> 32)) as usize & mask;
+        loop {
+            let (k, head) = self.slots[i];
+            if head == NIL || k == key {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Whether a stored subtree under `key` covers a node with `remaining`
+    /// depth and sleep set `sleep`: explored at least as deep, with a sleep
+    /// set that is a subset of this one.
+    fn seen(&self, key: u64, remaining: usize, sleep: &[(ProcessId, FpId)]) -> bool {
+        let mut n = self.slots[self.slot(key)].1;
+        while n != NIL {
+            let node = &self.nodes[n as usize];
+            let start = node.sleep_start as usize;
+            let stored = &self.sleep[start..start + node.sleep_len as usize];
+            if node.remaining as usize >= remaining && stored.iter().all(|e| sleep.contains(e)) {
+                return true;
+            }
+            n = node.next;
+        }
+        false
+    }
+
+    /// Stores a fully explored subtree under `key`.
+    fn insert(&mut self, key: u64, remaining: usize, sleep: &[(ProcessId, FpId)]) {
+        if (self.keys + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let i = self.slot(key);
+        let (_, head) = self.slots[i];
+        if head == NIL {
+            self.keys += 1;
+        }
+        let index = |n: usize| u32::try_from(n).expect("dedup table indices fit in u32");
+        let node = index(self.nodes.len());
+        assert!(node != NIL, "dedup table indices fit in u32");
+        self.nodes.push(StoredNode {
+            remaining: index(remaining),
+            sleep_start: index(self.sleep.len()),
+            sleep_len: index(sleep.len()),
+            next: head,
+        });
+        self.sleep.extend_from_slice(sleep);
+        self.slots[i] = (key, node);
+    }
+
+    /// Doubles the slot array; chains stay as they are.
+    fn grow(&mut self) {
+        let doubled = vec![(0, NIL); self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        for (key, head) in old {
+            if head != NIL {
+                let i = self.slot(key);
+                self.slots[i] = (key, head);
+            }
+        }
+    }
+}
+
+/// A deferred subtree handed to the work-stealing pool. The sleep set
+/// travels as footprints: ids are private to the explorer that minted them,
+/// so the receiving explorer re-interns them.
 struct FrontierJob {
     path: Vec<Choice>,
     picks: Vec<Vec<u32>>,
@@ -1017,8 +1231,8 @@ struct Explorer<'a, D: FdValue, F: FnMut(FrontierJob)> {
     /// Fingerprint → fully-explored subtrees, populated post-order (a node
     /// enters only after its subtree completed un-truncated and violation-
     /// free, so every prune skips provably clean ground).
-    visited: Option<BTreeMap<u64, Vec<StoredNode>>>,
-    resolve_memo: ResolveMemo,
+    visited: Option<VisitedTable>,
+    fps: Footprints,
     frontier: Option<F>,
     /// The orbit class of every process (identity classes when symmetry is
     /// off or the orbit is trivial).
@@ -1043,8 +1257,8 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             violations: Vec::new(),
             path: path.to_vec(),
             cursor: Cursor::at_path(cfg, path, picks),
-            visited: (cfg.dedup && turbo_active(cfg)).then(BTreeMap::new),
-            resolve_memo: ResolveMemo::new(),
+            visited: (cfg.dedup && turbo_active(cfg)).then(VisitedTable::new),
+            fps: Footprints::new(),
             frontier,
             class_of: cfg.orbit.class_of(cfg.n_plus_1),
             sym_active: cfg.symmetry && !cfg.orbit.is_trivial(),
@@ -1126,7 +1340,7 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
 
     /// Executes specs on the node the cursor sits at; on violation, records
     /// a (shrunk) counterexample and prunes the subtree.
-    fn visit(&mut self, picks: &[Vec<u32>], sleep: Vec<(ProcessId, Footprint)>, steps_used: usize) {
+    fn visit(&mut self, picks: &[Vec<u32>], mut sleep: SleepSet, steps_used: usize) {
         self.stats.nodes += 1;
         if let Some((spec, message)) =
             node_violation(self.cfg, self.cursor.run(), self.cursor.is_turbo())
@@ -1146,7 +1360,10 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             let job = FrontierJob {
                 path: self.path.clone(),
                 picks: picks.to_vec(),
-                sleep,
+                sleep: sleep
+                    .iter()
+                    .map(|&(q, f)| (q, self.fps.get(f).clone()))
+                    .collect(),
                 steps_used,
             };
             if let Some(spawn) = self.frontier.as_mut() {
@@ -1154,26 +1371,21 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             }
             return;
         }
+        let remaining = self.cfg.depth - steps_used;
         let dedup_key = match &self.visited {
             Some(visited) => {
                 let (key, canon) = self.dedup_key(picks);
                 // Sleep entries are compared (and stored) with their pids
                 // mapped through the canonical permutation, so symmetric
-                // nodes agree on the comparison as well as the key.
-                let canon_sleep: Vec<(ProcessId, Footprint)> = match &canon {
-                    Some(canon_of) => sleep
+                // nodes agree on the comparison as well as the key. Without
+                // a permutation the sleep set is compared as it is.
+                let canon_sleep: Option<SleepSet> = canon.map(|canon_of| {
+                    sleep
                         .iter()
-                        .map(|(q, f)| (ProcessId(canon_of[q.index()]), f.clone()))
-                        .collect(),
-                    None => sleep.clone(),
-                };
-                let remaining = self.cfg.depth - steps_used;
-                let seen = visited.get(&key).is_some_and(|stored| {
-                    stored.iter().any(|s| {
-                        s.remaining >= remaining && s.sleep.iter().all(|e| canon_sleep.contains(e))
-                    })
+                        .map(|&(q, f)| (ProcessId(canon_of[q.index()]), f))
+                        .collect()
                 });
-                if seen {
+                if visited.seen(key, remaining, canon_sleep.as_deref().unwrap_or(&sleep)) {
                     self.stats.dedup_pruned += 1;
                     return;
                 }
@@ -1182,18 +1394,15 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             None => None,
         };
         let violations_before = self.violations.len();
-        self.expand(picks, sleep, steps_used);
+        let sleep_len = sleep.len();
+        self.expand(picks, &mut sleep, steps_used);
         if let Some((key, canon_sleep)) = dedup_key {
             if !self.stats.truncated && self.violations.len() == violations_before {
+                sleep.truncate(sleep_len);
                 self.visited
                     .as_mut()
                     .expect("a dedup key implies a visited table")
-                    .entry(key)
-                    .or_default()
-                    .push(StoredNode {
-                        remaining: self.cfg.depth - steps_used,
-                        sleep: canon_sleep,
-                    });
+                    .insert(key, remaining, canon_sleep.as_deref().unwrap_or(&sleep));
             }
         }
     }
@@ -1202,12 +1411,9 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
     /// canonical crash injections first, then step extensions under the
     /// sleep set, with failure-detector variants as siblings of query steps.
     /// On return the cursor is back at the entry node (possibly dirty).
-    fn expand(
-        &mut self,
-        picks: &[Vec<u32>],
-        mut sleep: Vec<(ProcessId, Footprint)>,
-        steps_used: usize,
-    ) {
+    /// Explored children are only ever appended to `sleep`, so its entries
+    /// on entry stay its prefix.
+    fn expand(&mut self, picks: &[Vec<u32>], sleep: &mut SleepSet, steps_used: usize) {
         // The parent's run view is read now, while the cursor is clean; it
         // is not revisited once children start moving the session.
         let finished: Vec<bool> = {
@@ -1271,12 +1477,12 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
                 self.path.pop();
                 continue;
             }
-            let fp = self.cursor.last_footprint(&mut self.resolve_memo);
+            let fp = self.cursor.last_footprint(&mut self.fps);
             let query = self.cursor.last_query();
-            let child_sleep: Vec<_> = sleep
+            let child_sleep: SleepSet = sleep
                 .iter()
-                .filter(|(_, f)| !f.conflicts_with(&fp))
-                .cloned()
+                .copied()
+                .filter(|&(_, f)| !self.fps.conflicts(f, fp))
                 .collect();
             self.visit(picks, child_sleep.clone(), steps_used + 1);
 
@@ -1400,7 +1606,12 @@ pub fn check<D: FdValue>(cfg: &CheckConfig<D>) -> CheckReport {
                             &job.picks,
                             None::<fn(FrontierJob)>,
                         );
-                        sub.expand(&job.picks, job.sleep, job.steps_used);
+                        let mut sleep: SleepSet = job
+                            .sleep
+                            .iter()
+                            .map(|(q, f)| (*q, sub.fps.intern(f)))
+                            .collect();
+                        sub.expand(&job.picks, &mut sleep, job.steps_used);
                         (sub.stats, sub.violations, 0)
                     }),
                 });
@@ -1433,5 +1644,186 @@ pub fn check<D: FdValue>(cfg: &CheckConfig<D>) -> CheckReport {
         stats,
         violations,
         frontier_jobs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const P0: ProcessId = ProcessId(0);
+    const P1: ProcessId = ProcessId(1);
+
+    fn reg_write(type_name: &'static str, v: u64) -> OpSig {
+        OpSig::new(type_name, format!("Write({v})"))
+    }
+
+    #[test]
+    fn table_keeps_keys_apart_that_collide_in_the_low_bits() {
+        // Every key has zero low 48 bits, so all of them probe from one
+        // slot; each must still find exactly its own chain.
+        let mut table = VisitedTable::new();
+        let keys: Vec<u64> = (1..=8u64).map(|i| i << 48).collect();
+        for (depth, &key) in keys.iter().enumerate() {
+            table.insert(key, depth, &[]);
+        }
+        for (depth, &key) in keys.iter().enumerate() {
+            assert!(table.seen(key, depth, &[]), "key {key:#x}");
+            assert!(
+                !table.seen(key, depth + 1, &[]),
+                "a deeper node stored under another key leaked into {key:#x}"
+            );
+        }
+        assert!(!table.seen(9 << 48, 0, &[]));
+    }
+
+    #[test]
+    fn table_accepts_the_empty_slot_sentinel_key() {
+        // Empty slots hold key 0 with a NIL head: a real fingerprint of 0
+        // (or of all ones) must be neither phantom-found nor lost.
+        let mut table = VisitedTable::new();
+        assert!(!table.seen(0, 0, &[]));
+        table.insert(0, 1, &[]);
+        assert!(table.seen(0, 1, &[]));
+        assert!(!table.seen(u64::MAX, 0, &[]));
+        table.insert(u64::MAX, 2, &[]);
+        assert!(table.seen(u64::MAX, 2, &[]));
+        assert!(table.seen(0, 1, &[]));
+        assert!(!table.seen(0, 2, &[]));
+    }
+
+    #[test]
+    fn table_grows_past_its_load_factor_with_chains_intact() {
+        let mut table = VisitedTable::new();
+        let key = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let n = 1000u64;
+        for i in 0..n {
+            // Two nodes per key: a shallow unrestricted one and a deep one
+            // with a non-empty sleep set.
+            table.insert(key(i), 1, &[]);
+            table.insert(key(i), 5, &[(P0, FpId(i as u32 + 1))]);
+        }
+        assert_eq!(table.keys, n as usize);
+        assert!(table.keys * 4 <= table.slots.len() * 3, "the table grew");
+        for i in 0..n {
+            let own = [(P0, FpId(i as u32 + 1))];
+            assert!(table.seen(key(i), 1, &[]));
+            assert!(table.seen(key(i), 5, &own), "deep node of key {i} lost");
+            assert!(
+                !table.seen(key(i), 5, &[]),
+                "deep node of key {i} lost its sleep set"
+            );
+        }
+    }
+
+    #[test]
+    fn seen_honours_remaining_depth_and_the_sleep_subset_rule() {
+        let mut table = VisitedTable::new();
+        let (a, b) = (FpId(1), FpId(2));
+        table.insert(7, 3, &[(P0, a)]);
+        assert!(table.seen(7, 3, &[(P0, a)]));
+        assert!(
+            table.seen(7, 2, &[(P1, b), (P0, a)]),
+            "a looser stored node covers"
+        );
+        assert!(
+            !table.seen(7, 4, &[(P0, a)]),
+            "a shallower stored node does not"
+        );
+        assert!(
+            !table.seen(7, 3, &[]),
+            "the stored sleep set must be a subset"
+        );
+        assert!(
+            !table.seen(7, 3, &[(P1, a)]),
+            "sleep entries match by pid too"
+        );
+        assert!(!table.seen(7, 3, &[(P0, b)]), "and by footprint");
+    }
+
+    #[test]
+    fn footprint_ids_follow_resolved_footprints() {
+        let mut fps = Footprints::new();
+        let r = Key::new("R");
+        let w3 = fps.of_op(
+            &r,
+            Access::Write(0),
+            Some(&reg_write("m::RegisterObject<u64>", 3)),
+        );
+        // Another instantiation renders the same op: it resolves alike.
+        let w3_again = fps.of_op(
+            &r,
+            Access::Write(0),
+            Some(&reg_write("m::RegisterObject<u8>", 3)),
+        );
+        assert_eq!(w3, w3_again);
+        let w4 = fps.of_op(
+            &r,
+            Access::Write(0),
+            Some(&reg_write("m::RegisterObject<u64>", 4)),
+        );
+        assert_ne!(w3, w4);
+        // Unresolvable signatures fall back to the lattice alone, and their
+        // footprints compare equal, so they share an id.
+        let poke = |v| OpSig::new("m::Mystery", format!("Poke({v})"));
+        let p1 = fps.of_op(&r, Access::Update, Some(&poke(1)));
+        assert_eq!(p1, fps.of_op(&r, Access::Update, Some(&poke(2))));
+        assert_eq!(p1, fps.of_op(&r, Access::Update, None));
+        // The memoized relation is the footprint relation.
+        assert!(!fps.conflicts(w3, w3), "equal register writes commute");
+        assert!(fps.conflicts(w3, w4));
+        assert!(fps.conflicts(w4, p1));
+        assert!(!fps.conflicts(FpId::LOCAL, p1));
+        let other = fps.of_op(&Key::new("S"), Access::Update, None);
+        assert!(!fps.conflicts(p1, other), "distinct keys never conflict");
+    }
+
+    #[test]
+    fn frontier_sleep_sets_round_trip_through_the_interner() {
+        let mut spawner = Footprints::new();
+        let r = Key::new("R").at(1);
+        let ids = [
+            spawner.of_op(&r, Access::Read, None),
+            spawner.of_op(
+                &r,
+                Access::Write(0),
+                Some(&reg_write("m::RegisterObject<u64>", 3)),
+            ),
+            FpId::LOCAL,
+            spawner.of_op(&Key::new("C"), Access::Update, None),
+        ];
+        let sleep: SleepSet = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| (ProcessId(i), f))
+            .collect();
+        // Spawn: ids out, footprints across the boundary.
+        let job: Vec<(ProcessId, Footprint)> = sleep
+            .iter()
+            .map(|&(q, f)| (q, spawner.get(f).clone()))
+            .collect();
+        // Receive: a receiver that already numbered other footprints.
+        let mut receiver = Footprints::new();
+        receiver.of_op(&Key::new("Z"), Access::Read, None);
+        let received: SleepSet = job.iter().map(|(q, f)| (*q, receiver.intern(f))).collect();
+        for ((q, f), (q2, g)) in sleep.iter().zip(&received) {
+            assert_eq!(q, q2);
+            assert_eq!(
+                spawner.get(*f),
+                receiver.get(*g),
+                "footprint survives the trip"
+            );
+        }
+        let mut distinct: Vec<u32> = received.iter().map(|(_, g)| g.0).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            received.len(),
+            "ids stay unique in the receiver"
+        );
+        // A later step with the same footprint maps to the received id.
+        assert_eq!(receiver.of_op(&r, Access::Read, None), received[0].1);
+        assert_eq!(receiver.intern(&job[1].1), received[1].1);
     }
 }

@@ -53,7 +53,7 @@ pub fn render_timeline<D: FdValue>(run: &Run<D>, memory: Option<&Memory>, window
                         .and_then(|m| m.name_of(*object))
                         .map(|k| k.to_string())
                         .unwrap_or_else(|| object.to_string());
-                    match detail {
+                    match detail.as_ref().and_then(|d| d.text()) {
                         Some(d) => format!("op {name}: {d}"),
                         None => format!("op {name}"),
                     }

@@ -11,33 +11,36 @@
 //!   equivalent interleavings, but key *names* do not;
 //! * **per-process control state** enters as one sequential digest per
 //!   process over that process's own event subsequence — kinds, object key
-//!   names, accesses, op signatures, `Debug`-rendered details and
+//!   names, accesses, op signatures, `op -> resp` detail digests and
 //!   failure-detector samples, but **not** times: commuting swaps perturb
 //!   the global ordering (and thus times) while preserving each process's
 //!   subsequence. A deterministic algorithm that has seen the same
 //!   responses is in the same continuation state, so the digest is a sound
 //!   proxy for the suspended state machine — *provided responses are
-//!   captured*, i.e. the run was recorded at [`TraceLevel::Full`]
-//!   (`detail` carries `op -> resp`). The checker forces full tracing
-//!   whenever fingerprint dedup is enabled.
+//!   captured*, i.e. the run was recorded at [`TraceLevel::Digest`] or
+//!   above (each op event's [`OpDetail`] digests `op -> resp`). The
+//!   checker records at `Digest` whenever fingerprint dedup is enabled;
+//!   a [`TraceLevel::Full`] run carries the same digests next to its text,
+//!   so it fingerprints identically.
 //! * **crash/finish status** enters as the crashed *set* and finished flags
 //!   (crash delivery times are path-determined and already reflected in the
 //!   per-process subsequences).
 //!
 //! Both layers are streaming or commutative, so nothing forces a rehash of
-//! the whole run: a [`Session`] recording at [`TraceLevel::Full`] maintains
-//! the per-process digests and the memory sum as it steps (one
-//! `absorb_event` per step, one object term swapped) and combines the
+//! the whole run: a [`Session`] recording at [`TraceLevel::Digest`] or
+//! above maintains the per-process digests and the memory sum as it steps
+//! (one `absorb_event` per step, one object term swapped) and combines the
 //! cached words per node. The from-scratch [`trace_fingerprint`] and
 //! [`orbit_trace_fingerprint`] remain the reference — the stateless
 //! cursor, swarm and the tests use them, and debug builds assert the
-//! session's words against them at every fingerprint. On the paper's own
-//! checks (Fig. 1, Fig. 2 and the mutating Fig. 1 sample) dedup prunes no
-//! node, so with the rehash gone its remaining cost is the full trace it
-//! requires.
+//! session's words against them at every fingerprint. Absorbing an op
+//! event hashes its signature's raw bytes and its detail's one-word
+//! digest, so no step renders or re-reads text for the fingerprint.
 //!
+//! [`TraceLevel::Digest`]: crate::TraceLevel::Digest
 //! [`TraceLevel::Full`]: crate::TraceLevel::Full
 //! [`Session`]: crate::Session
+//! [`OpDetail`]: crate::OpDetail
 
 use crate::object::Memory;
 use crate::oracle::FdValue;
@@ -117,11 +120,16 @@ pub(crate) fn absorb_event<D: FdValue>(w: &mut FnvWrite, kind: &StepKind<D>, mem
             }
             let _ = write!(w, "/{access}");
             if let Some(sig) = sig {
-                let _ = write!(w, "/{sig:?}");
+                // Length prefixes keep the raw bytes unambiguous.
+                w.write_bytes(b"/");
+                w.write_u64(sig.type_name.len() as u64);
+                w.write_bytes(sig.type_name.as_bytes());
+                w.write_u64(sig.op.len() as u64);
+                w.write_bytes(sig.op.as_bytes());
             }
             if let Some(detail) = detail {
-                let _ = w.write_str("/");
-                let _ = w.write_str(detail);
+                w.write_bytes(b"/");
+                w.write_u64(detail.digest());
             }
         }
         StepKind::Query(d) => {
@@ -175,8 +183,9 @@ pub(crate) fn combine<D: FdValue>(
 
 /// The canonical 64-bit fingerprint of a run prefix against its final
 /// shared memory. Equal across Mazurkiewicz-equivalent prefixes; see the
-/// module docs for the soundness contract (full tracing required when used
-/// as a dedup key). Computed from scratch: the reference the session's
+/// module docs for the soundness contract (a run recorded at
+/// [`TraceLevel::Digest`](crate::TraceLevel::Digest) or above is required
+/// when used as a dedup key). Computed from scratch: the reference the session's
 /// incremental digests must match bit for bit.
 pub fn trace_fingerprint<D: FdValue>(run: &Run<D>, memory: &Memory) -> u64 {
     combine(run, memory.fingerprint64(), |i| {

@@ -121,4 +121,6 @@ pub use sched::{
 pub use session::{Session, SessionAlgos, SessionSave, SessionStep};
 pub use steal::{run_stealing, StealJob, StealScope};
 pub use time::Time;
-pub use trace::{Event, InducedTrace, Output, Run, RunArena, StepKind, StopReason, TraceLevel};
+pub use trace::{
+    Event, InducedTrace, OpDetail, Output, Run, RunArena, StepKind, StopReason, TraceLevel,
+};

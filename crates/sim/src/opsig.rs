@@ -54,7 +54,7 @@ impl OpSig {
 /// A signature resolved against the generated commutativity matrix: the
 /// object kind is analyzed, the rendering parsed, and the argument count
 /// matches the arity the analyzer derived for the variant.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct ResolvedOp {
     /// The analyzed object kind.
     pub kind: ObjKind,

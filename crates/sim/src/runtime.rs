@@ -26,8 +26,9 @@ use crate::opsig::OpSig;
 use crate::oracle::{FdValue, Oracle};
 use crate::process::ProcessId;
 use crate::time::Time;
-use crate::trace::{Output, StepKind, TraceLevel};
+use crate::trace::{DetailSink, Output, StepKind, TraceLevel};
 use std::cell::{Cell, RefCell};
+use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -294,12 +295,20 @@ impl<D: FdValue> Ctx<D> {
             let sig = world
                 .record_sigs
                 .then(|| OpSig::new(std::any::type_name::<O>(), format!("{op:?}")));
-            let detail_prefix = match world.trace_level {
-                TraceLevel::Full => Some(format!("{op:?}")),
-                TraceLevel::Steps => None,
-            };
+            // The op half of the detail is rendered before `invoke` consumes
+            // the op — reusing the signature's rendering when there is one.
+            let mut detail = DetailSink::for_level(world.trace_level);
+            if let Some(sink) = &mut detail {
+                let _ = match &sig {
+                    Some(sig) => sink.write_str(&sig.op),
+                    None => write!(sink, "{op:?}"),
+                };
+            }
             let resp = world.memory.invoke::<O>(id, pid, op);
-            let detail = detail_prefix.map(|p| format!("{p} -> {resp:?}").into_boxed_str());
+            let detail = detail.map(|mut sink| {
+                let _ = write!(sink, " -> {resp:?}");
+                sink.finish()
+            });
             (
                 StepKind::Op {
                     object: id,

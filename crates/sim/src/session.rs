@@ -21,15 +21,17 @@
 //!   into its future — one poll per completed step, no shared-memory
 //!   traffic, no step reports. Determinism of algorithms makes the rebuilt
 //!   machine bit-identical to the lost one.
-//! * **Incremental fingerprints** — a session that records a
-//!   [`TraceLevel::Full`] trace (the level fingerprint dedup requires)
-//!   keeps its state fingerprint up to date as it steps: each event is
-//!   absorbed into its process's running digest, and the touched object's
-//!   term in the memory digest is swapped for its new value. Fingerprinting
-//!   a node then costs `O(n + 1)` instead of a rehash of the whole path and
-//!   every object; the from-scratch [`trace_fingerprint`] stays the
-//!   reference the cached words must equal bit for bit. Sessions at
-//!   [`TraceLevel::Steps`] keep no digests and fingerprint from scratch.
+//! * **Incremental fingerprints** — a session that records at
+//!   [`TraceLevel::Digest`] or above (the explorer records at `Digest`
+//!   when fingerprint dedup is on: each op event carries its `op -> resp`
+//!   digest, no rendered text) keeps its state fingerprint up to date as
+//!   it steps: each event is absorbed into its process's running digest,
+//!   and the touched object's term in the memory digest is swapped for its
+//!   new value. Fingerprinting a node then costs `O(n + 1)` instead of a
+//!   rehash of the whole path and every object; the from-scratch
+//!   [`trace_fingerprint`] stays the reference the cached words must equal
+//!   bit for bit. Sessions at [`TraceLevel::Steps`] keep no digests and
+//!   fingerprint from scratch.
 //!
 //! The restore contract mirrors the replay-token contract: the caller
 //! supplies a fresh [`Oracle`] positioned as it was at the save point
@@ -46,7 +48,7 @@ use crate::fingerprint::{
     absorb_event, combine, combine_orbit, orbit_trace_fingerprint, trace_fingerprint, FnvWrite,
     OrbitFingerprint,
 };
-use crate::object::Memory;
+use crate::object::{Access, Memory};
 use crate::oracle::{FdValue, Oracle};
 use crate::process::ProcessId;
 use crate::runtime::{AnyReply, World};
@@ -140,7 +142,7 @@ pub struct Session<D: FdValue> {
     /// Per-process journal of completed steps: `(time, result clone)` — the
     /// raw material fast-forward restore replays into fresh futures.
     logs: Vec<Vec<(Time, Box<dyn AnyReply>)>>,
-    /// The running fingerprint, kept only at [`TraceLevel::Full`].
+    /// The running fingerprint, kept at [`TraceLevel::Digest`] and above.
     digests: Option<Digests>,
 }
 
@@ -158,7 +160,11 @@ struct Digests {
 impl Digests {
     /// Absorbs process `i`'s new event into its digest and brings the memory terms
     /// up to date: objects allocated by the step enter the sum, and the
-    /// object the step touched has its old term swapped for the new one.
+    /// object the step touched has its old term swapped for the new one —
+    /// unless the step was an [`Access::Read`], which writes nothing. (The
+    /// explorer's sleep sets already rely on that claim being truthful;
+    /// debug builds check the cached words against the from-scratch
+    /// fingerprint either way.)
     fn absorb<D: FdValue>(&mut self, i: usize, kind: &StepKind<D>, memory: &Memory) {
         absorb_event(&mut self.procs[i], kind, memory);
         let known = self.terms.len();
@@ -167,9 +173,9 @@ impl Digests {
             self.terms.push(term);
             self.memory64 = self.memory64.wrapping_add(term);
         }
-        if let StepKind::Op { object, .. } = kind {
+        if let StepKind::Op { object, access, .. } = kind {
             let id = object.0 as usize;
-            if id < known {
+            if id < known && *access != Access::Read {
                 self.set_term(id, memory.fingerprint_term(id));
             }
         }
@@ -228,7 +234,7 @@ impl<D: FdValue> Session<D> {
             "factory must yield one algorithm slot per process"
         );
         let has_algo: Vec<bool> = instances.iter().map(Option::is_some).collect();
-        let digests = (trace_level == TraceLevel::Full).then(|| Digests {
+        let digests = (trace_level >= TraceLevel::Digest).then(|| Digests {
             procs: vec![FnvWrite::new(); n_plus_1],
             terms: Vec::new(),
             memory64: 0,
@@ -307,7 +313,7 @@ impl<D: FdValue> Session<D> {
 
     /// The canonical fingerprint of the current run prefix (see
     /// [`trace_fingerprint`]): combined from the running digests at
-    /// [`TraceLevel::Full`], computed from scratch otherwise.
+    /// [`TraceLevel::Digest`] and above, computed from scratch otherwise.
     pub fn fingerprint(&self) -> u64 {
         let reference = || self.with_memory(|memory| trace_fingerprint(&self.run, memory));
         let Some(d) = &self.digests else {
@@ -320,7 +326,7 @@ impl<D: FdValue> Session<D> {
 
     /// The orbit-canonical fingerprint of the current run prefix (see
     /// [`orbit_trace_fingerprint`]), from the running digests at
-    /// [`TraceLevel::Full`] like [`Session::fingerprint`].
+    /// [`TraceLevel::Digest`] and above like [`Session::fingerprint`].
     pub fn orbit_fingerprint(&self, class_of: &[u32], extra: &[u64]) -> OrbitFingerprint {
         let reference = || {
             self.with_memory(|memory| orbit_trace_fingerprint(&self.run, memory, class_of, extra))

@@ -7,6 +7,7 @@
 //! conditions of §3.3 and to check problem specifications on traces.
 
 use crate::failure::FailurePattern;
+use crate::fingerprint::FnvWrite;
 use crate::object::{Access, ObjectId};
 use crate::opsig::OpSig;
 use crate::oracle::FdValue;
@@ -57,8 +58,12 @@ pub enum StepKind<D> {
         /// — feeds the per-op-pair commutativity refinement of conflict
         /// analysis (see [`crate::commute`]).
         sig: Option<OpSig>,
-        /// `Debug`-rendered operation and response, when full tracing is on.
-        detail: Option<Box<str>>,
+        /// The `Debug`-rendered operation and response (`op -> resp`):
+        /// digested at [`TraceLevel::Digest`], digested and kept as text at
+        /// [`TraceLevel::Full`], absent at [`TraceLevel::Steps`]. The
+        /// digest is what run fingerprints hash, so the two upper levels
+        /// fingerprint identically; only the `Full` text feeds timelines.
+        detail: Option<OpDetail>,
     },
     /// A failure-detector query step; carries `H(p, t)`.
     Query(D),
@@ -87,6 +92,75 @@ impl<D> StepKind<D> {
             StepKind::Op { .. } | StepKind::Query(_) => "C1",
             StepKind::Output(_) | StepKind::NoOp => "C4",
         }
+    }
+}
+
+/// What an `Op` event records of its operation and response above
+/// [`TraceLevel::Steps`]: the FNV-1a digest of the `op -> resp` rendering,
+/// plus (at [`TraceLevel::Full`]) the rendering itself.
+///
+/// Digest-only details are one word inline; the rare full ones box their
+/// text, so the detail adds nothing to an [`Event`]'s size either way.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct OpDetail(DetailRepr);
+
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum DetailRepr {
+    Digest(u64),
+    Full(Box<(u64, Box<str>)>),
+}
+
+impl OpDetail {
+    /// The digest of the `op -> resp` rendering, equal at both levels.
+    pub fn digest(&self) -> u64 {
+        match &self.0 {
+            DetailRepr::Digest(d) => *d,
+            DetailRepr::Full(full) => full.0,
+        }
+    }
+
+    /// The `op -> resp` rendering, recorded at [`TraceLevel::Full`] only.
+    pub fn text(&self) -> Option<&str> {
+        match &self.0 {
+            DetailRepr::Digest(_) => None,
+            DetailRepr::Full(full) => Some(&full.1),
+        }
+    }
+}
+
+/// Renders one op step's `op -> resp` detail at a trace level: the bytes
+/// stream into a digest, and into a text buffer only at
+/// [`TraceLevel::Full`] — at [`TraceLevel::Digest`] no string is built.
+pub(crate) struct DetailSink {
+    digest: FnvWrite,
+    text: Option<String>,
+}
+
+impl DetailSink {
+    /// A sink for `level`, or `None` at [`TraceLevel::Steps`].
+    pub(crate) fn for_level(level: TraceLevel) -> Option<Self> {
+        (level >= TraceLevel::Digest).then(|| DetailSink {
+            digest: FnvWrite::new(),
+            text: (level == TraceLevel::Full).then(String::new),
+        })
+    }
+
+    pub(crate) fn finish(self) -> OpDetail {
+        let digest = self.digest.finish();
+        OpDetail(match self.text {
+            Some(text) => DetailRepr::Full(Box::new((digest, text.into_boxed_str()))),
+            None => DetailRepr::Digest(digest),
+        })
+    }
+}
+
+impl fmt::Write for DetailSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.digest.write_bytes(s.as_bytes());
+        if let Some(text) = &mut self.text {
+            text.push_str(s);
+        }
+        Ok(())
     }
 }
 
@@ -122,13 +196,21 @@ impl InducedTrace {
     }
 }
 
-/// How much detail to record while running.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// How much detail to record while running. Levels are ordered: each
+/// records everything the one below it does.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub enum TraceLevel {
     /// Record step kinds, FD samples and outputs, but not per-op payloads.
     #[default]
     Steps,
-    /// Additionally render every operation and response with `Debug`.
+    /// Additionally digest every operation and response (their `Debug`
+    /// renderings streamed through one hash, no string built): enough for
+    /// [`trace_fingerprint`](crate::trace_fingerprint) to tell apart
+    /// states that answered an op differently. The level fingerprint dedup
+    /// records at.
+    Digest,
+    /// Additionally keep every operation and response rendering as text,
+    /// for readable timelines.
     Full,
 }
 
@@ -445,6 +527,29 @@ mod tests {
             total_steps: 3,
             stop: StopReason::AllDone,
         }
+    }
+
+    #[test]
+    fn event_stays_within_eighty_bytes() {
+        // Swarm cells and fuzz runs hold events by the thousand; the op
+        // detail must ride in existing slack, not widen every event.
+        assert!(std::mem::size_of::<Event<ProcessSet>>() <= 80);
+    }
+
+    #[test]
+    fn detail_levels_share_one_digest() {
+        use std::fmt::Write as _;
+        let render = |level| {
+            let mut sink = DetailSink::for_level(level)?;
+            let _ = write!(sink, "{:?} -> {:?}", "Write(3)", Some(1));
+            Some(sink.finish())
+        };
+        assert_eq!(render(TraceLevel::Steps), None);
+        let digest = render(TraceLevel::Digest).expect("digest level records");
+        let full = render(TraceLevel::Full).expect("full level records");
+        assert_eq!(digest.digest(), full.digest());
+        assert_eq!(digest.text(), None);
+        assert_eq!(full.text(), Some(r#""Write(3)" -> Some(1)"#));
     }
 
     #[test]

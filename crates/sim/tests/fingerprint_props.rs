@@ -17,9 +17,13 @@
 //!   same fingerprint for the same scripted schedule, so dedup decisions
 //!   are engine-agnostic.
 //!
-//! Runs are recorded at [`TraceLevel::Full`] throughout: that is the
-//! level the checker forces whenever dedup is on (responses must be part
-//! of the per-process digests for the control-state proxy to be sound).
+//! Runs are recorded at [`TraceLevel::Full`] unless stated otherwise:
+//! responses must be part of the per-process digests for the control-state
+//! proxy to be sound, and both `Full` and the checker's dedup level
+//! [`TraceLevel::Digest`] capture them. **Level independence** ties the two
+//! together: a `Digest` run, the same schedule at `Full`, and a `Digest`
+//! [`Session`](upsilon_sim::Session) stepped through it all carry one
+//! fingerprint.
 
 //! The orbit-canonical variant ([`orbit_trace_fingerprint`]) adds the
 //! symmetry contract on top:
@@ -35,9 +39,11 @@
 //!   does for the pid-ordered digest.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use upsilon_sim::{
     algo, orbit_trace_fingerprint, trace_fingerprint, Access, EngineKind, FailurePattern, Key,
-    ObjectType, OrbitFingerprint, ProcessId, RoundRobin, Scripted, SimBuilder, TraceLevel,
+    NullOracle, ObjectType, OrbitFingerprint, ProcessId, RoundRobin, Scripted, Session,
+    SessionAlgos, SimBuilder, TraceLevel,
 };
 
 /// A one-value register; `Write` overwrites, `Read` returns the content.
@@ -74,34 +80,60 @@ impl ObjectType for Cell {
 /// `None` reads, `Some(v)` writes `v`.
 type PlannedOp = (u64, Option<u64>);
 
+/// Each process executes its own fixed op list.
+fn plan_algos(plans: &[Vec<PlannedOp>]) -> SessionAlgos<()> {
+    let plans = plans.to_vec();
+    Arc::new(move || {
+        plans
+            .iter()
+            .map(|plan| {
+                let plan = plan.clone();
+                Some(algo(move |ctx| {
+                    let plan = plan.clone();
+                    async move {
+                        for (key, write) in plan {
+                            let op = match write {
+                                Some(v) => Op::Write(v),
+                                None => Op::Read,
+                            };
+                            ctx.invoke(&Key::new("r").at(key), Cell::default, op)
+                                .await?;
+                        }
+                        Ok(())
+                    }
+                }))
+            })
+            .collect()
+    })
+}
+
 /// Runs `n` processes, each executing its own fixed op list, under the
 /// scripted grant order, and returns the run's canonical fingerprint.
 fn fingerprint_of(n: usize, plans: &[Vec<PlannedOp>], script: &[usize], engine: EngineKind) -> u64 {
+    fingerprint_at(n, plans, script, engine, TraceLevel::Full, false)
+}
+
+/// [`fingerprint_of`] at a given trace level, with or without op
+/// signatures.
+fn fingerprint_at(
+    n: usize,
+    plans: &[Vec<PlannedOp>],
+    script: &[usize],
+    engine: EngineKind,
+    level: TraceLevel,
+    sigs: bool,
+) -> u64 {
     let script: Vec<ProcessId> = script.iter().map(|&i| ProcessId(i)).collect();
     let mut builder = SimBuilder::<()>::new(FailurePattern::failure_free(n))
         .adversary(Scripted::then(script, RoundRobin::new()))
         .engine(engine)
-        .trace_level(TraceLevel::Full)
+        .trace_level(level)
+        .record_op_sigs(sigs)
         .max_steps(64);
-    for (i, plan) in plans.iter().enumerate() {
-        let plan = plan.clone();
-        builder = builder.spawn(
-            ProcessId(i),
-            algo(move |ctx| {
-                let plan = plan.clone();
-                async move {
-                    for (key, write) in plan {
-                        let op = match write {
-                            Some(v) => Op::Write(v),
-                            None => Op::Read,
-                        };
-                        ctx.invoke(&Key::new("r").at(key), Cell::default, op)
-                            .await?;
-                    }
-                    Ok(())
-                }
-            }),
-        );
+    for (i, a) in plan_algos(plans)().into_iter().enumerate() {
+        if let Some(a) = a {
+            builder = builder.spawn(ProcessId(i), a);
+        }
     }
     let outcome = builder.run();
     trace_fingerprint(&outcome.run, &outcome.memory)
@@ -122,25 +154,10 @@ fn orbit_fp_of(
         .engine(EngineKind::Inline)
         .trace_level(TraceLevel::Full)
         .max_steps(64);
-    for (i, plan) in plans.iter().enumerate() {
-        let plan = plan.clone();
-        builder = builder.spawn(
-            ProcessId(i),
-            algo(move |ctx| {
-                let plan = plan.clone();
-                async move {
-                    for (key, write) in plan {
-                        let op = match write {
-                            Some(v) => Op::Write(v),
-                            None => Op::Read,
-                        };
-                        ctx.invoke(&Key::new("r").at(key), Cell::default, op)
-                            .await?;
-                    }
-                    Ok(())
-                }
-            }),
-        );
+    for (i, a) in plan_algos(plans)().into_iter().enumerate() {
+        if let Some(a) = a {
+            builder = builder.spawn(ProcessId(i), a);
+        }
     }
     let outcome = builder.run();
     orbit_trace_fingerprint(&outcome.run, &outcome.memory, class_of, extra)
@@ -351,6 +368,38 @@ proptest! {
         let a = orbit_fp_of(2, &plans, &[0, 1], &[0, 0], &[e, 7]);
         let b = orbit_fp_of(2, &plans, &[0, 1], &[0, 0], &[e.wrapping_add(delta), 7]);
         prop_assert!(a.fingerprint != b.fingerprint, "collide: {:#x}", a.fingerprint);
+    }
+
+    /// Level independence: three processes race reads and writes over two
+    /// shared registers, so responses differ across schedules. Recording
+    /// a schedule at `Digest` or at `Full` — with or without op signatures
+    /// — gives one fingerprint, and a `Digest` session stepped through the
+    /// same schedule carries it incrementally.
+    #[test]
+    fn digest_and_full_levels_fingerprint_identically(
+        plans in proptest::collection::vec(
+            proptest::collection::vec((0u64..2, proptest::option::of(0u64..8)), 1..4),
+            3,
+        ),
+        picks in proptest::collection::vec(0usize..3, 12),
+        sigs in proptest::bool::ANY,
+    ) {
+        let quotas: Vec<usize> = plans.iter().map(Vec::len).collect();
+        let script = interleave_n(&quotas, &picks);
+        let at = |level| fingerprint_at(3, &plans, &script, EngineKind::Inline, level, sigs);
+        let digest = at(TraceLevel::Digest);
+        prop_assert_eq!(digest, at(TraceLevel::Full));
+        let mut session = Session::new(
+            FailurePattern::failure_free(3),
+            plan_algos(&plans),
+            Box::new(NullOracle),
+            TraceLevel::Digest,
+            sigs,
+        );
+        for &i in &script {
+            session.step(ProcessId(i));
+        }
+        prop_assert_eq!(session.fingerprint(), digest);
     }
 
     /// Both engines produce the same fingerprint for the same script —

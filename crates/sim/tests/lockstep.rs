@@ -256,7 +256,8 @@ fn full_trace_level_records_op_details() {
         StepKind::Op {
             detail: Some(d), ..
         } => {
-            assert!(d.contains("Incr"), "detail should render the op: {d}");
+            let text = d.text().expect("full tracing keeps the rendering");
+            assert!(text.contains("Incr"), "detail should render the op: {text}");
         }
         other => panic!("expected detailed op event, got {other:?}"),
     }

@@ -10,12 +10,17 @@
 //! (a suspended future's state is a function of its own step log, so
 //! untouched processes keep their live futures) must not let any detour
 //! state leak through.
+//!
+//! Sessions record at [`TraceLevel::Digest`], the level the explorer uses
+//! when fingerprint dedup is on; every observation also replays the
+//! session's schedule from scratch at [`TraceLevel::Full`] and checks that
+//! the full-text run fingerprints identically.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use upsilon_sim::{
     algo, orbit_trace_fingerprint, trace_fingerprint, Access, FailurePattern, Key, NullOracle,
-    ObjectType, ProcessId, Session, SessionAlgos, TraceLevel,
+    ObjectType, ProcessId, Scripted, Session, SessionAlgos, SimBuilder, TraceLevel,
 };
 
 /// A one-value register; `Write` overwrites, `Read` returns the content.
@@ -85,7 +90,7 @@ fn new_session(n: usize, rounds: usize) -> Session<()> {
         FailurePattern::failure_free(n),
         ring_algos(n, rounds),
         Box::new(NullOracle),
-        TraceLevel::Full,
+        TraceLevel::Digest,
         true,
     )
 }
@@ -107,11 +112,30 @@ fn drive(session: &mut Session<()>, grants: &[usize]) {
 ///
 /// Also checks the session's incrementally maintained fingerprints against
 /// the from-scratch reference, so every restore and crash detour below
-/// exercises the running digests too.
-fn observed(session: &Session<()>) -> (String, u64) {
+/// exercises the running digests too, and checks that a fresh replay of
+/// the session's schedule at [`TraceLevel::Full`] fingerprints the same.
+fn observed(session: &Session<()>, rounds: usize) -> (String, u64) {
     let n = session.n_plus_1();
     let reference = session.with_memory(|memory| trace_fingerprint(session.run(), memory));
     assert_eq!(session.fingerprint(), reference);
+    let run = session.run();
+    let mut full = SimBuilder::<()>::new(run.pattern().clone())
+        .adversary(Scripted::new(run.schedule()))
+        .max_steps(run.total_steps())
+        .oracle(NullOracle)
+        .trace_level(TraceLevel::Full)
+        .record_op_sigs(true);
+    for (i, a) in ring_algos(n, rounds)().into_iter().enumerate() {
+        if let Some(a) = a {
+            full = full.spawn(ProcessId(i), a);
+        }
+    }
+    let full = full.run();
+    assert_eq!(
+        trace_fingerprint(&full.run, &full.memory),
+        reference,
+        "the Full replay and the Digest session must fingerprint alike"
+    );
     // Pairs of adjacent pids share a class, and the extra words differ, so
     // both the sort and the per-process extras matter.
     let class_of: Vec<u32> = (0..n).map(|i| (i / 2) as u32).collect();
@@ -136,7 +160,7 @@ fn restore_resumes_bit_identically() {
 
     let mut straight = new_session(3, 4);
     drive(&mut straight, &schedule);
-    let want = observed(&straight);
+    let want = observed(&straight, 4);
 
     let mut resumed = new_session(3, 4);
     drive(&mut resumed, prefix);
@@ -145,7 +169,7 @@ fn restore_resumes_bit_identically() {
     drive(&mut resumed, &[2, 2, 2, 0, 1, 0, 2]);
     resumed.restore(&save, Box::new(NullOracle));
     drive(&mut resumed, suffix);
-    assert_eq!(observed(&resumed), want);
+    assert_eq!(observed(&resumed, 4), want);
 }
 
 #[test]
@@ -155,7 +179,7 @@ fn restore_discards_a_crash_in_the_detour() {
 
     let mut straight = new_session(2, 4);
     drive(&mut straight, &schedule);
-    let want = observed(&straight);
+    let want = observed(&straight, 4);
 
     let mut resumed = new_session(2, 4);
     drive(&mut resumed, prefix);
@@ -168,7 +192,7 @@ fn restore_discards_a_crash_in_the_detour() {
     resumed.restore(&save, Box::new(NullOracle));
     assert!(resumed.eligible(ProcessId(1)), "crash must be rolled back");
     drive(&mut resumed, suffix);
-    assert_eq!(observed(&resumed), want);
+    assert_eq!(observed(&resumed, 4), want);
 }
 
 #[test]
@@ -176,7 +200,7 @@ fn nested_saves_restore_to_any_ancestor() {
     let schedule = [0usize, 1, 2, 1, 0, 2, 1, 1, 2, 0, 0, 1];
     let mut straight = new_session(3, 3);
     drive(&mut straight, &schedule);
-    let want = observed(&straight);
+    let want = observed(&straight, 3);
 
     let mut resumed = new_session(3, 3);
     drive(&mut resumed, &schedule[..3]);
@@ -190,7 +214,7 @@ fn nested_saves_restore_to_any_ancestor() {
     drive(&mut resumed, &[1, 1]);
     resumed.restore(&shallow, Box::new(NullOracle));
     drive(&mut resumed, &schedule[3..]);
-    assert_eq!(observed(&resumed), want);
+    assert_eq!(observed(&resumed, 3), want);
 }
 
 proptest! {
@@ -208,7 +232,7 @@ proptest! {
 
         let mut straight = new_session(3, 4);
         drive(&mut straight, &schedule);
-        let want = observed(&straight);
+        let want = observed(&straight, 4);
 
         let mut resumed = new_session(3, 4);
         drive(&mut resumed, prefix);
@@ -216,7 +240,7 @@ proptest! {
         drive(&mut resumed, &detour);
         resumed.restore(&save, Box::new(NullOracle));
         drive(&mut resumed, suffix);
-        prop_assert_eq!(observed(&resumed), want);
+        prop_assert_eq!(observed(&resumed, 4), want);
     }
 
     /// Same, with a crash delivered mid-detour — the selective-restore
@@ -234,7 +258,7 @@ proptest! {
 
         let mut straight = new_session(3, 4);
         drive(&mut straight, &schedule);
-        let want = observed(&straight);
+        let want = observed(&straight, 4);
 
         let mut resumed = new_session(3, 4);
         drive(&mut resumed, prefix);
@@ -246,6 +270,6 @@ proptest! {
         }
         resumed.restore(&save, Box::new(NullOracle));
         drive(&mut resumed, suffix);
-        prop_assert_eq!(observed(&resumed), want);
+        prop_assert_eq!(observed(&resumed, 4), want);
     }
 }
