@@ -4,8 +4,8 @@
 //! ```text
 //! cargo run -p upsilon-analysis --bin analyze -- lint [--json]
 //! cargo run -p upsilon-analysis --bin analyze -- conform [--json]
-//! cargo run -p upsilon-analysis --bin analyze -- commute [--json]
-//! cargo run -p upsilon-analysis --bin analyze -- symmetry [--json]
+//! cargo run -p upsilon-analysis --bin analyze -- commute [--json | --emit]
+//! cargo run -p upsilon-analysis --bin analyze -- symmetry [--json | --emit]
 //! cargo run -p upsilon-analysis --bin analyze -- run-conditions [--json] \
 //!     [--seeds <count>] [--procs <n+1>]
 //! cargo run -p upsilon-analysis --bin analyze -- scenario [--json]
@@ -15,7 +15,9 @@
 //! (determinism lint over the simulator crates, §3.1 conformance over the
 //! algorithm crates, DPOR-soundness audit of the shared objects' `access()`
 //! classifications, and pid-parametricity audit plus orbit derivation over
-//! the protocol crates); all also exist as standalone bins. `run-conditions` is the dynamic pass: it
+//! the protocol crates). `commute --emit` and `symmetry --emit` print the
+//! generated `crates/sim/src/{commute,symmetry}.rs` modules; they refuse
+//! to emit from a failing audit. `run-conditions` is the dynamic pass: it
 //! drives a built-in leader workload over a seed sweep and validates every
 //! recorded run against the §3.3 run conditions with
 //! [`upsilon_analysis::check_run_for`]. `scenario` is the declarative-layer
@@ -23,8 +25,11 @@
 //! crate (analysis sits below the runner), reports axis cardinalities and
 //! cell counts, and fails on orphans — parse failures or files whose `name`
 //! does not match the stem — and on missing required check samples.
+//!
+//! Exit status: 0 when the pass is clean (or `--emit` succeeds), 1 on
+//! findings, 2 on usage or I/O errors.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use upsilon_analysis::{check_run_for, RunStats};
 use upsilon_mem::{RegOp, RegResp, RegisterObject};
@@ -43,6 +48,9 @@ fn usage() -> ! {
          lint / conform / commute / symmetry options:\n\
          \x20 --allowlist <file>  audited-exception file (default under crates/analysis/)\n\
          \n\
+         commute / symmetry options:\n\
+         \x20 --emit              print the generated crates/sim/src/<pass>.rs\n\
+         \n\
          run-conditions options:\n\
          \x20 --seeds <count>     schedules per pattern (default 16)\n\
          \x20 --procs <n+1>       processes, half of them also run a crashy pattern (default 3)\n\
@@ -57,6 +65,7 @@ struct Opts {
     root: PathBuf,
     allowlist: Option<PathBuf>,
     json: bool,
+    emit: bool,
     seeds: u64,
     procs: usize,
 }
@@ -78,6 +87,7 @@ fn main() -> ExitCode {
                 opts.allowlist = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
             }
             "--json" => opts.json = true,
+            "--emit" => opts.emit = true,
             "--seeds" => {
                 opts.seeds = args
                     .next()
@@ -98,6 +108,10 @@ fn main() -> ExitCode {
         }
     }
 
+    if opts.emit && !matches!(mode.as_str(), "commute" | "symmetry") {
+        eprintln!("analyze {mode}: --emit applies only to commute and symmetry");
+        return ExitCode::from(2);
+    }
     match mode.as_str() {
         "lint" => lint(&opts),
         "conform" => conform(&opts),
@@ -115,11 +129,7 @@ fn main() -> ExitCode {
 
 fn lint(opts: &Opts) -> ExitCode {
     use upsilon_analysis::lint;
-    let path = opts
-        .allowlist
-        .clone()
-        .unwrap_or_else(|| opts.root.join("crates/analysis/lint-allowlist.txt"));
-    let allow = match load_or_empty(&path, lint::Allowlist::load) {
+    let allow = match load_allowlist(opts, "lint", lint::Allowlist::load) {
         Ok(a) => a,
         Err(code) => return code,
     };
@@ -147,11 +157,7 @@ fn lint(opts: &Opts) -> ExitCode {
 }
 
 fn conform(opts: &Opts) -> ExitCode {
-    let path = opts
-        .allowlist
-        .clone()
-        .unwrap_or_else(|| opts.root.join("crates/analysis/conform-allowlist.txt"));
-    let allow = match load_or_empty(&path, upsilon_conform::load_allowlist) {
+    let allow = match load_allowlist(opts, "conform", upsilon_conform::load_allowlist) {
         Ok(a) => a,
         Err(code) => return code,
     };
@@ -168,6 +174,25 @@ fn conform(opts: &Opts) -> ExitCode {
         for finding in &report.findings {
             println!("{finding}");
         }
+        for row in &report.bounds {
+            match (&row.bound, &row.unbounded) {
+                (Some(b), _) => println!(
+                    "bound: {}:{} {} ≤ {}{}",
+                    row.file,
+                    row.line,
+                    row.name,
+                    b,
+                    if row.wait_free { "  [wait_free]" } else { "" }
+                ),
+                (None, Some(why)) => {
+                    println!(
+                        "bound: {}:{} {} unbounded ({why})",
+                        row.file, row.line, row.name
+                    );
+                }
+                (None, None) => {}
+            }
+        }
         println!(
             "conform: {} files scanned, {} findings, {} allowlisted, {} routines bounded",
             report.files.len(),
@@ -180,11 +205,7 @@ fn conform(opts: &Opts) -> ExitCode {
 }
 
 fn commute(opts: &Opts) -> ExitCode {
-    let path = opts
-        .allowlist
-        .clone()
-        .unwrap_or_else(|| opts.root.join("crates/analysis/commute-allowlist.txt"));
-    let allow = match load_or_empty(&path, upsilon_commute::load_allowlist) {
+    let allow = match load_allowlist(opts, "commute", upsilon_commute::load_allowlist) {
         Ok(a) => a,
         Err(code) => return code,
     };
@@ -195,6 +216,13 @@ fn commute(opts: &Opts) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if opts.emit {
+        // An unjustified classification would be baked into the explorer's
+        // conflict relation.
+        return emit("commute", &report.findings, || {
+            upsilon_commute::emit::render(&report.impls)
+        });
+    }
     if opts.json {
         print!("{}", report.to_json());
     } else {
@@ -213,11 +241,7 @@ fn commute(opts: &Opts) -> ExitCode {
 }
 
 fn symmetry(opts: &Opts) -> ExitCode {
-    let path = opts
-        .allowlist
-        .clone()
-        .unwrap_or_else(|| opts.root.join("crates/analysis/symmetry-allowlist.txt"));
-    let allow = match load_or_empty(&path, upsilon_symmetry::load_allowlist) {
+    let allow = match load_allowlist(opts, "symmetry", upsilon_symmetry::load_allowlist) {
         Ok(a) => a,
         Err(code) => return code,
     };
@@ -228,6 +252,15 @@ fn symmetry(opts: &Opts) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if opts.emit {
+        // An undocumented symmetry break could otherwise be reclassified as
+        // a certified orbit by a later edit without anyone noticing. (The
+        // verdicts feeding the table ignore the allowlist regardless; this
+        // gate keeps the diagnostics honest too.)
+        return emit("symmetry", &report.findings, || {
+            upsilon_symmetry::emit::render(&report.orbits)
+        });
+    }
     if opts.json {
         print!("{}", report.to_json());
     } else {
@@ -394,16 +427,29 @@ fn scenario(opts: &Opts) -> ExitCode {
     pass_fail(clean)
 }
 
-/// Loads an allowlist file, treating a missing file as empty and a
-/// malformed one as a usage error.
-fn load_or_empty<A: Default>(
-    path: &std::path::Path,
-    load: impl Fn(&std::path::Path) -> std::io::Result<A>,
+/// Loads a pass's audited-exception file: `--allowlist` if given, else
+/// `crates/analysis/<pass>-allowlist.txt` under the root. Only the default
+/// may be absent (an empty allowlist); a named file that is missing or
+/// malformed is a usage error, so a typo cannot silently drop every audited
+/// exception.
+fn load_allowlist<A: Default>(
+    opts: &Opts,
+    pass: &str,
+    load: impl Fn(&Path) -> std::io::Result<A>,
 ) -> Result<A, ExitCode> {
-    if !path.exists() {
-        return Ok(A::default());
-    }
-    load(path).map_err(|e| {
+    let path = match &opts.allowlist {
+        Some(path) => path.clone(),
+        None => {
+            let path = opts
+                .root
+                .join(format!("crates/analysis/{pass}-allowlist.txt"));
+            if !path.exists() {
+                return Ok(A::default());
+            }
+            path
+        }
+    };
+    load(&path).map_err(|e| {
         eprintln!("analyze: bad allowlist {}: {e}", path.display());
         ExitCode::from(2)
     })
@@ -524,6 +570,23 @@ fn leader_workload(pattern: FailurePattern, seed: u64) -> upsilon_sim::SimOutcom
             })
         })
         .run()
+}
+
+/// `--emit`: print the generated module, but only from a clean audit.
+fn emit(
+    pass: &str,
+    findings: &[impl std::fmt::Display],
+    render: impl FnOnce() -> String,
+) -> ExitCode {
+    if !findings.is_empty() {
+        for f in findings {
+            eprintln!("{f}");
+        }
+        eprintln!("analyze {pass}: refusing to emit from a failing audit");
+        return ExitCode::FAILURE;
+    }
+    print!("{}", render());
+    ExitCode::SUCCESS
 }
 
 fn pass_fail(clean: bool) -> ExitCode {

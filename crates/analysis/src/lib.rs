@@ -6,10 +6,8 @@
 //!    simulator crates banning constructs that silently break replayability
 //!    (unseeded hash collections, wall clocks, `thread_rng`, stray thread
 //!    spawns, bare `unwrap()` in simulator hot paths), with an allowlist
-//!    file for audited exceptions. Run as a binary:
-//!    `cargo run -p upsilon-analysis --bin lint`.
-//! 2. **§3.1 conformance checker** ([`upsilon_conform`], re-hosted here as
-//!    a binary: `cargo run -p upsilon-analysis --bin conform`) — a
+//!    file for audited exceptions.
+//! 2. **§3.1 conformance checker** ([`upsilon_conform`]) — a
 //!    purpose-built lexer/parser that walks every algorithm body in the
 //!    protocol crates and enforces the step-atomicity contract: one
 //!    `ctx`-mediated shared operation per await point (C1), no host APIs
@@ -32,9 +30,12 @@
 //! accessors, so a bug in the recorder and a bug in the checker would have
 //! to coincide to slip through.
 //!
-//! All passes are also reachable through one driver,
-//! `cargo run -p upsilon-analysis --bin analyze -- <lint|conform|run-conditions>`,
-//! which adds a shared `--json` flag for machine-readable reports.
+//! Every pass runs through one binary, `analyze`, together with the
+//! commutativity and symmetry audits of [`upsilon_commute`] and
+//! [`upsilon_symmetry`] and the scenario-file audit:
+//! `cargo run -p upsilon-analysis --bin analyze --
+//! <lint|conform|commute|symmetry|run-conditions|scenario>`, with a shared
+//! `--json` flag for machine-readable reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

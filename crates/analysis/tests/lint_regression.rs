@@ -1,6 +1,6 @@
 //! End-to-end lint regression test: seed a determinism violation into a
 //! synthetic workspace and require [`scan_workspace`] to flag it, exactly
-//! as CI runs the `lint` binary against the real tree.
+//! as CI runs `analyze lint` against the real tree.
 
 use std::fs;
 use std::path::PathBuf;

@@ -1,16 +1,16 @@
 //! Ready-made exploration configurations over the paper's artifacts.
 //!
-//! **Entry path.** Direct use of these constructors is reserved for the
-//! `upsilon-scenario` registry (which calls back into this module) and
-//! its no-drift lock. Everything else — the checked-in `scenarios/*.toml`
-//! documents and the test suites in `crates/check` / `crates/fuzz` —
-//! selects workloads by protocol name through that registry, either via
-//! scenario files or the typed `upsilon_scenario::testkit` accessors. The
-//! constructors stay the single source of truth for what each workload
-//! *is*, while axis choices (n, depth, fault budgets, A/B arms) live in
-//! the declarative layer; the `testkit_drift` suite asserts the two paths
-//! never diverge. New workloads are added here **and** given a scenario
-//! file plus a `testkit` accessor.
+//! **Entry path.** This module is the one sample builder. The
+//! `upsilon-scenario` registry maps each scenario cell's protocol name onto
+//! these constructors, and the test suites in `crates/check` and
+//! `crates/fuzz` call them directly. The constructors are the single source
+//! of truth for what each workload *is*, while the axis choices of the
+//! checked-in `scenarios/*.toml` documents (n, depth, fault budgets, A/B
+//! arms) live in the declarative layer.
+//!
+//! The scenario crate's `parity` suite pins every registry cell to the
+//! report of the direct call, so the two cannot diverge. New workloads are
+//! added here **and** given a scenario file.
 //!
 //! Three families:
 //!

@@ -2,8 +2,7 @@
 //! canonicalization bounds, counterexample shrinking and dual-engine token
 //! replay.
 
-use upsilon_check::{check, replay_token, CheckConfig, ReplayToken};
-use upsilon_scenario::testkit as samples;
+use upsilon_check::{check, replay_token, samples, CheckConfig, ReplayToken};
 use upsilon_sim::{EngineKind, FdValue};
 
 fn naive<D: FdValue>(mut cfg: CheckConfig<D>) -> CheckConfig<D> {

@@ -4,8 +4,7 @@
 //! the same bugs by random search; this test pins down that they are
 //! findable at all (and that the faithful baselines are not false alarms).
 
-use upsilon_check::{check, replay_token};
-use upsilon_scenario::testkit as samples;
+use upsilon_check::{check, replay_token, samples};
 use upsilon_sim::{EngineKind, ProcessId};
 
 #[test]

@@ -10,8 +10,7 @@
 //! (n ≤ 3, depth ≤ 6) to keep the whole sweep in CI time.
 
 use proptest::prelude::*;
-use upsilon_check::{check, ReplayToken};
-use upsilon_scenario::testkit as samples;
+use upsilon_check::{check, samples, ReplayToken};
 
 proptest! {
     #![proptest_config(ProptestConfig {

@@ -18,8 +18,7 @@
 //!   injections, and `stable_report` (the fully symmetric write-race
 //!   benchmark) explores at most half the states of the unreduced search.
 
-use upsilon_check::{check, CheckConfig, CheckReport};
-use upsilon_scenario::testkit as samples;
+use upsilon_check::{check, samples, CheckConfig, CheckReport};
 use upsilon_sim::symmetry::Orbit;
 use upsilon_sim::FdValue;
 

@@ -16,8 +16,7 @@
 //!   coordinate, so reports are `assert_eq!`-identical whatever the
 //!   parallelism, with and without dedup.
 
-use upsilon_check::{check, CheckConfig, CheckReport};
-use upsilon_scenario::testkit as samples;
+use upsilon_check::{check, samples, CheckConfig, CheckReport};
 
 use upsilon_sim::FdValue;
 

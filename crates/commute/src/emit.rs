@@ -19,7 +19,7 @@ pub fn render(impls: &[DerivedImpl]) -> String {
          //! GENERATED by `upsilon-commute` — do not edit by hand. Regenerate with:\n\
          //!\n\
          //! ```text\n\
-         //! cargo run -p upsilon-commute -- --emit > crates/sim/src/commute.rs\n\
+         //! cargo run -p upsilon-analysis --bin analyze -- commute --emit > crates/sim/src/commute.rs\n\
          //! ```\n\
          //!\n\
          //! For every ordered pair of op variants of each analyzed\n\

@@ -26,6 +26,10 @@
 //!    generated `upsilon_sim::commute` module ([`emit::render`]); CI diffs
 //!    the emitted text against the checked-in file.
 //!
+//! This is a library only: the audit runs as `cargo run -p upsilon-analysis
+//! --bin analyze -- commute`, and `analyze commute --emit` prints the
+//! generated module.
+//!
 //! Everything the analyzer cannot model is treated as conflicting — an
 //! unrecognized construct can cost reduction, never soundness. The matrix's
 //! own soundness rests additionally on faithful `Debug` renderings of op

@@ -152,6 +152,6 @@ fn emitted_matrix_matches_checked_in_file() {
     assert_eq!(
         emitted, checked_in,
         "crates/sim/src/commute.rs has drifted from the analyzer's output; \
-         regenerate with `cargo run -p upsilon-commute -- --emit > crates/sim/src/commute.rs`"
+         regenerate with `cargo run -p upsilon-analysis --bin analyze -- commute --emit > crates/sim/src/commute.rs`"
     );
 }

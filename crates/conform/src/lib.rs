@@ -32,8 +32,8 @@
 //! golden-file tests). Audited exceptions live in an allowlist shared
 //! with the determinism lint's format: `<rule-id> <path>` per line.
 //!
-//! The checker is wired into `upsilon-analysis` (`cargo run -p
-//! upsilon-analysis --bin conform`) and CI; the `crates/conform/fixtures`
+//! The checker runs as `cargo run -p upsilon-analysis --bin analyze --
+//! conform` (also in CI); the `crates/conform/fixtures`
 //! crate holds deliberately nonconforming algorithms that pin down each
 //! rule as a negative golden test.
 

@@ -9,8 +9,8 @@
 //!   other bit-identically.
 
 use proptest::prelude::*;
+use upsilon_check::samples;
 use upsilon_fuzz::{coverage_of_token, fuzz, FuzzConfig};
-use upsilon_scenario::testkit as samples;
 use upsilon_sim::{EngineKind, PctScheduler};
 
 proptest! {

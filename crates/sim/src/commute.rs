@@ -3,7 +3,7 @@
 //! GENERATED by `upsilon-commute` — do not edit by hand. Regenerate with:
 //!
 //! ```text
-//! cargo run -p upsilon-commute -- --emit > crates/sim/src/commute.rs
+//! cargo run -p upsilon-analysis --bin analyze -- commute --emit > crates/sim/src/commute.rs
 //! ```
 //!
 //! For every ordered pair of op variants of each analyzed

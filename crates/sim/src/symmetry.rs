@@ -3,7 +3,7 @@
 //! GENERATED by `upsilon-symmetry` — do not edit by hand. Regenerate with:
 //!
 //! ```text
-//! cargo run -p upsilon-symmetry -- --emit > crates/sim/src/symmetry.rs
+//! cargo run -p upsilon-analysis --bin analyze -- symmetry --emit > crates/sim/src/symmetry.rs
 //! ```
 //!
 //! An orbit declares which processes of a checked protocol are

@@ -18,6 +18,10 @@
 //!    `upsilon_sim::symmetry` module ([`emit::render`]); CI diffs the
 //!    emitted text against the checked-in file.
 //!
+//! This is a library only: the audit runs as `cargo run -p upsilon-analysis
+//! --bin analyze -- symmetry`, and `analyze symmetry --emit` prints the
+//! generated module.
+//!
 //! Everything the analyzer cannot model is treated as symmetry-breaking —
 //! an unrecognized construct can cost reduction (the sample degrades to
 //! the trivial orbit), never soundness. Unlike the conform/commute audits,

@@ -184,7 +184,7 @@ fn emitted_orbit_table_matches_checked_in_file() {
     assert_eq!(
         emitted, checked_in,
         "crates/sim/src/symmetry.rs has drifted from the analyzer's output; \
-         regenerate with `cargo run -p upsilon-symmetry -- --emit > crates/sim/src/symmetry.rs`"
+         regenerate with `cargo run -p upsilon-analysis --bin analyze -- symmetry --emit > crates/sim/src/symmetry.rs`"
     );
 }
 
