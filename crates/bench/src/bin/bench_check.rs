@@ -2,17 +2,15 @@
 //! `BENCH_check.json`.
 //!
 //! ```text
-//! cargo run --release -p upsilon-bench --bin bench_check [depth]
-//! cargo run --release -p upsilon-bench --bin bench_check -- \
-//!     [--workloads a,b,c] [--workload NAME --n N --depth N --faults N] [--out PATH]
-//! cargo run --release -p upsilon-bench --bin bench_check -- --scenario scenarios/bench-check.toml
+//! cargo run --release -p upsilon-bench --bin bench_check -- [--scenario FILE] [--out PATH]
 //! ```
 //!
-//! With `--scenario` the suite comes from a `kind = "bench"` scenario file:
-//! each variant arm names a workload, carries the check-registry axis
-//! bindings, and pins its per-workload reduction floor.
+//! The suite comes from a `kind = "bench"` scenario file, by default
+//! `scenarios/bench-check.toml`: each variant arm names a workload,
+//! carries the check-registry axis bindings, and pins its per-workload
+//! reduction floor.
 //!
-//! Each selected workload is explored three times at the same depth:
+//! Each workload is explored three times at the same depth:
 //!
 //! * **naive** — no reduction: the full tree, the denominator;
 //! * **lattice** — sleep-set reduction over the coarse 3-value `Access`
@@ -37,14 +35,15 @@
 //! only written when every check passes, so a failing run can never
 //! overwrite a good baseline.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
-use upsilon_check::{check, samples, CheckConfig, CheckReport};
+use upsilon_check::{check, CheckConfig, CheckReport};
 use upsilon_core::table::Table;
 use upsilon_sim::FdValue;
 
 /// Throughput floor (nodes spec-checked per second, matrix-reduced search,
-/// release build). The dev-profile CI floor lives in ci.yml instead.
+/// release build) — the only states/sec gate on the explorer.
 /// Raised 200× with the snapshot-resume cursor (measured: >1M states/sec on
 /// the stable-report headline; generous margin for slow shared runners).
 const MIN_STATES_PER_SEC: f64 = 400_000.0;
@@ -61,79 +60,31 @@ const MIN_BEST_MATRIX_GAIN: f64 = 1.0;
 /// measures ~3× at the default recipe).
 const MIN_SYMMETRY_REDUCTION: f64 = 2.0;
 
-const USAGE: &str = "usage: bench_check [depth] | bench_check [options]
-  --workloads LIST comma-separated entries to run (default
-                   fig1,fig2,snapshot-commit,stable-report)
-  --workload NAME  run one workload: fig1 | fig1-mutating | fig2 |
-                   snapshot-commit | stable-report
-  --n N            processes for --workload (default 3)
-  --depth N        schedule-length bound for --workload / positional
-  --faults N       crash-injection budget for --workload (default 0)
-  --scenario FILE  run the suite declared by a kind = \"bench\" scenario
-                   file instead of the defaults table
+const USAGE: &str = "usage: bench_check [options]
+  --scenario FILE  the kind = \"bench\" suite to run
+                   (default scenarios/bench-check.toml)
   --out PATH       JSON artifact path (default BENCH_check.json)
   --help           this text";
 
 #[derive(Clone, Debug)]
 struct Args {
-    workloads: Vec<String>,
-    single: bool,
-    n: usize,
-    depth: usize,
-    faults: usize,
-    scenario: Option<String>,
+    scenario: PathBuf,
     out: String,
 }
 
-const DEFAULT_SUITE: &[&str] = &["fig1", "fig2", "snapshot-commit", "stable-report"];
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        workloads: DEFAULT_SUITE.iter().map(|s| s.to_string()).collect(),
-        single: false,
-        n: 3,
-        depth: 9,
-        faults: 0,
-        scenario: None,
+        scenario: upsilon_scenario::scenarios_dir().join("bench-check.toml"),
         out: "BENCH_check.json".to_string(),
     };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    // Positional compatibility: `bench_check 9` sets the fig1 depth.
-    if raw.len() == 1 && !raw[0].starts_with("--") {
-        args.depth = raw[0]
-            .parse()
-            .map_err(|e| format!("depth must be an integer: {e}"))?;
-        return Ok(args);
-    }
-    let mut it = raw.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--workloads" => {
-                args.workloads = value("--workloads")?
-                    .split(',')
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--workload" => {
-                args.workloads = vec![value("--workload")?];
-                args.single = true;
-            }
-            "--n" => args.n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--depth" => {
-                args.depth = value("--depth")?
-                    .parse()
-                    .map_err(|e| format!("--depth: {e}"))?
-            }
-            "--faults" => {
-                args.faults = value("--faults")?
-                    .parse()
-                    .map_err(|e| format!("--faults: {e}"))?
-            }
-            "--scenario" => args.scenario = Some(value("--scenario")?),
+            "--scenario" => args.scenario = PathBuf::from(value("--scenario")?),
             "--out" => args.out = value("--out")?,
             "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other:?}")),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
     Ok(args)
@@ -221,19 +172,12 @@ fn explore<D: FdValue>(
     }
 }
 
-fn measure<D: FdValue>(
-    name: &str,
-    base: &CheckConfig<D>,
-    n: usize,
-    depth: usize,
-    faults: usize,
-    floor: f64,
-) -> Entry {
+fn measure<D: FdValue>(name: &str, base: &CheckConfig<D>, floor: f64) -> Entry {
     Entry {
         name: name.to_string(),
-        n,
-        depth,
-        faults,
+        n: base.n_plus_1,
+        depth: base.depth,
+        faults: base.max_faults,
         floor,
         naive: explore(base, false, false, true, false, false),
         lattice: explore(base, true, false, true, false, false),
@@ -244,101 +188,27 @@ fn measure<D: FdValue>(
     }
 }
 
-/// Measures a registry-resolved check target under both element domains.
-fn measure_any(
-    name: &str,
-    target: &upsilon_scenario::AnyCheck,
-    faults: usize,
-    floor: f64,
-) -> Entry {
-    let (n, depth) = (target.n_plus_1(), target.depth());
-    match target {
-        upsilon_scenario::AnyCheck::Set(cfg) => measure(name, cfg, n, depth, faults, floor),
-        upsilon_scenario::AnyCheck::Unit(cfg) => measure(name, cfg, n, depth, faults, floor),
-    }
-}
-
 /// Builds the suite from a `kind = "bench"` scenario file: one entry per
 /// variant arm, with the arm's registry bindings and pinned floor.
-fn scenario_entries(path: &str) -> Result<Vec<Entry>, String> {
-    let doc = upsilon_scenario::load_file(std::path::Path::new(path))?;
+fn scenario_entries(path: &Path) -> Result<Vec<Entry>, String> {
+    let doc = upsilon_scenario::load_file(path)?;
     if doc.kind != upsilon_scenario::Kind::Bench {
-        return Err(format!("{path}: --scenario needs kind = \"bench\""));
+        return Err(format!(
+            "{}: --scenario needs kind = \"bench\"",
+            path.display()
+        ));
     }
     let mut entries = Vec::new();
     for cell in doc.expand() {
         let (workload, target, floor) = upsilon_scenario::registry::bench_workload_of(&cell)?;
         let floor =
             floor.ok_or_else(|| format!("workload {workload:?}: the cell must pin a `floor`"))?;
-        let faults = match cell.get("max_faults") {
-            Some(upsilon_scenario::Scalar::Int(v)) => *v as usize,
-            _ => 0,
-        };
-        entries.push(measure_any(&workload, &target, faults, floor));
+        entries.push(match &target {
+            upsilon_scenario::AnyCheck::Set(cfg) => measure(&workload, cfg, floor),
+            upsilon_scenario::AnyCheck::Unit(cfg) => measure(&workload, cfg, floor),
+        });
     }
     Ok(entries)
-}
-
-/// Builds and measures one workload entry. The recipe (n, depth, faults,
-/// floor) comes from the defaults table unless `custom` pins the
-/// `--workload` overrides.
-fn run_workload(name: &str, custom: Option<&Args>) -> Result<Entry, String> {
-    // (n, depth, faults, floor) per workload; floors reflect what each
-    // sample's conflict structure supports rather than one global bar.
-    let (mut n, mut depth, mut faults, floor) = match name {
-        "fig1" => (3, 9, 0, 10.0),
-        "fig1-mutating" => (3, 9, 0, 10.0),
-        "fig2" => (3, 7, 0, 2.0),
-        "snapshot-commit" => (3, 10, 0, 10.0),
-        "stable-report" => (3, 10, 0, 10.0),
-        other => return Err(format!("unknown workload {other:?}")),
-    };
-    if let Some(a) = custom {
-        (n, depth, faults) = (a.n, a.depth, a.faults);
-    }
-    Ok(match name {
-        "fig1" => measure(
-            name,
-            &samples::fig1(n, depth, faults),
-            n,
-            depth,
-            faults,
-            floor,
-        ),
-        "fig1-mutating" => measure(
-            name,
-            &samples::fig1_mutating(n, depth, faults, 1),
-            n,
-            depth,
-            faults,
-            floor,
-        ),
-        "fig2" => measure(
-            name,
-            &samples::fig2(n, faults.max(1), depth, faults),
-            n,
-            depth,
-            faults,
-            floor,
-        ),
-        "snapshot-commit" => measure(
-            name,
-            &samples::snapshot_commit(n, n - 1, depth, false),
-            n,
-            depth,
-            faults,
-            floor,
-        ),
-        "stable-report" => measure(
-            name,
-            &samples::stable_report(n, 2, depth),
-            n,
-            depth,
-            faults,
-            floor,
-        ),
-        _ => unreachable!("matched above"),
-    })
 }
 
 fn json_entry(e: &Entry) -> String {
@@ -387,27 +257,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let custom = args.single.then_some(&args);
-    let mut entries = Vec::new();
-    if let Some(path) = &args.scenario {
-        match scenario_entries(path) {
-            Ok(e) => entries = e,
-            Err(msg) => {
-                eprintln!("error: {msg}\n{USAGE}");
-                return ExitCode::from(2);
-            }
+    let entries = match scenario_entries(&args.scenario) {
+        Ok(e) => e,
+        Err(msg) => {
+            eprintln!("error: {msg}\n{USAGE}");
+            return ExitCode::from(2);
         }
-    } else {
-        for name in &args.workloads {
-            match run_workload(name, custom) {
-                Ok(e) => entries.push(e),
-                Err(msg) => {
-                    eprintln!("error: {msg}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    }
+    };
 
     let mut failed = false;
     for e in &entries {
@@ -527,7 +383,7 @@ fn main() -> ExitCode {
         .iter()
         .max_by(|a, b| a.matrix_gain().total_cmp(&b.matrix_gain()));
     let Some(headline) = headline else {
-        eprintln!("error: no workloads selected\n{USAGE}");
+        eprintln!("error: the suite declares no workloads\n{USAGE}");
         return ExitCode::from(2);
     };
     println!(
@@ -535,35 +391,33 @@ fn main() -> ExitCode {
          {best_gain:.2}x, best symmetry reduction: {best_sym:.2}x"
     );
 
-    if !args.single {
-        if best <= BASELINE_RATIO {
-            eprintln!(
-                "FAIL: best reduction {best:.1}x does not beat the pre-matrix \
-                 {BASELINE_RATIO}x baseline"
-            );
-            failed = true;
-        }
-        if best_gain <= MIN_BEST_MATRIX_GAIN {
-            eprintln!(
-                "FAIL: no entry shows the matrix strictly refining the lattice \
-                 (best gain {best_gain:.2}x)"
-            );
-            failed = true;
-        }
-        if best_turbo < MIN_TURBO_SPEEDUP {
-            eprintln!(
-                "FAIL: best snapshot-resume speedup {best_turbo:.2}x below the \
-                 {MIN_TURBO_SPEEDUP}x floor"
-            );
-            failed = true;
-        }
-        if best_sym < MIN_SYMMETRY_REDUCTION {
-            eprintln!(
-                "FAIL: best symmetry reduction {best_sym:.2}x below the \
-                 {MIN_SYMMETRY_REDUCTION}x floor"
-            );
-            failed = true;
-        }
+    if best <= BASELINE_RATIO {
+        eprintln!(
+            "FAIL: best reduction {best:.1}x does not beat the pre-matrix \
+             {BASELINE_RATIO}x baseline"
+        );
+        failed = true;
+    }
+    if best_gain <= MIN_BEST_MATRIX_GAIN {
+        eprintln!(
+            "FAIL: no entry shows the matrix strictly refining the lattice \
+             (best gain {best_gain:.2}x)"
+        );
+        failed = true;
+    }
+    if best_turbo < MIN_TURBO_SPEEDUP {
+        eprintln!(
+            "FAIL: best snapshot-resume speedup {best_turbo:.2}x below the \
+             {MIN_TURBO_SPEEDUP}x floor"
+        );
+        failed = true;
+    }
+    if best_sym < MIN_SYMMETRY_REDUCTION {
+        eprintln!(
+            "FAIL: best symmetry reduction {best_sym:.2}x below the \
+             {MIN_SYMMETRY_REDUCTION}x floor"
+        );
+        failed = true;
     }
     if headline.states_per_sec() < MIN_STATES_PER_SEC {
         eprintln!(

@@ -2,14 +2,8 @@
 //! emitting `BENCH_fuzz.json`.
 //!
 //! ```text
-//! cargo run --release -p upsilon-bench --bin bench_fuzz [--execs N] [--out PATH]
-//! cargo run --release -p upsilon-bench --bin bench_fuzz -- --scenario scenarios/bench-fuzz.toml
+//! cargo run --release -p upsilon-bench --bin bench_fuzz [--out PATH]
 //! ```
-//!
-//! With `--scenario` the throughput campaign (measurements 1 and 2) is
-//! resolved from a `kind = "fuzz"` scenario file — target, seed, and
-//! round budget all come from the document. The seeded-mutant
-//! time-to-find suite is a fixed regression guard and is unaffected.
 //!
 //! Four measurements:
 //!
@@ -20,7 +14,8 @@
 //!    overhead, not algorithm compute, is what it guards.
 //! 2. **Deep throughput** — the same campaign shape over Fig. 1
 //!    (n + 1 = 3, depth 24, one crash allowed), the algorithm-bound
-//!    reference workload, with its own floor.
+//!    reference workload, with its own floor. Its recipe (target, seed and
+//!    round budget) lives in `scenarios/bench-fuzz.toml`.
 //! 3. **Coverage growth** — the per-round coverage curves, so plateaus
 //!    (a saturated corpus) are visible in the artifact.
 //! 4. **Time-to-find** — for each seeded mutant, the index of the
@@ -46,32 +41,21 @@ const MIN_EXECS_PER_SEC: f64 = 250_000.0;
 const MIN_DEEP_EXECS_PER_SEC: f64 = 75_000.0;
 
 const USAGE: &str = "usage: bench_fuzz [options]
-  --execs N        executions per round for the throughput campaign (default 4096)
-  --scenario FILE  resolve the throughput campaign from a kind = \"fuzz\"
-                   scenario file instead of the built-in stable-report target
   --out PATH       JSON artifact path (default BENCH_fuzz.json)
   --help           this text";
 
-fn parse_args() -> Result<(u64, Option<String>, String), String> {
-    let mut execs = 4096u64;
-    let mut scenario = None;
+fn parse_args() -> Result<String, String> {
     let mut out = "BENCH_fuzz.json".to_string();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--execs" => {
-                execs = value("--execs")?
-                    .parse()
-                    .map_err(|e| format!("--execs: {e}"))?
-            }
-            "--scenario" => scenario = Some(value("--scenario")?),
             "--out" => out = value("--out")?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    Ok((execs, scenario, out))
+    Ok(out)
 }
 
 /// Times a deterministic campaign three times (every pass produces the
@@ -92,29 +76,24 @@ fn best_timed(
     best.expect("three passes ran")
 }
 
-/// [`best_timed`] over a fixed campaign configuration.
-fn best_of_3<D: upsilon_sim::FdValue>(cfg: &FuzzConfig<D>) -> (upsilon_fuzz::FuzzReport, f64) {
-    best_timed(|| fuzz(cfg, &[]))
-}
-
-/// Resolves the throughput campaign from a `kind = "fuzz"` scenario file:
-/// `(label, report, execs/sec)` for the file's first cell under its first
-/// seed, timed best-of-three.
-fn scenario_campaign(path: &str) -> Result<(String, upsilon_fuzz::FuzzReport, f64), String> {
-    let doc = upsilon_scenario::load_file(std::path::Path::new(path))?;
-    if doc.kind != upsilon_scenario::Kind::Fuzz {
-        return Err(format!("{path}: --scenario needs kind = \"fuzz\""));
-    }
+/// Resolves the deep campaign from `scenarios/bench-fuzz.toml`: the
+/// file's first cell under its first seed, with its workload label.
+fn deep_campaign() -> Result<(String, upsilon_scenario::AnyFuzz), String> {
+    let doc = upsilon_scenario::load("bench-fuzz")?;
     let cell = doc
         .expand()
         .into_iter()
         .next()
-        .ok_or_else(|| format!("{path}: the scenario expands to no cells"))?;
+        .ok_or("bench-fuzz: the scenario expands to no cells")?;
     let seed = doc.seeds.first().copied().unwrap_or(0);
-    let campaign = upsilon_scenario::resolve_fuzz(&doc, &cell, seed)?;
-    let label = format!("{} ({})", doc.name, cell.label());
-    let (report, rate) = best_timed(|| campaign.fuzz(&[]));
-    Ok((label, report, rate))
+    let axis = |key: &str| cell.get(key).map_or("-".to_string(), |v| v.to_string());
+    let label = format!(
+        "{} fuzzing, n_plus_1 = {}, depth {}",
+        cell.protocol,
+        axis("n_plus_1"),
+        axis("depth")
+    );
+    Ok((label, upsilon_scenario::resolve_fuzz(&doc, &cell, seed)?))
 }
 
 /// One seeded-mutant measurement: `(execs spent, exec index of the first
@@ -141,7 +120,7 @@ fn time_to_find<D: upsilon_sim::FdValue>(
 }
 
 fn main() -> ExitCode {
-    let (execs, scenario, out) = match parse_args() {
+    let out = match parse_args() {
         Ok(v) => v,
         Err(msg) => {
             if msg.is_empty() {
@@ -153,37 +132,31 @@ fn main() -> ExitCode {
         }
     };
 
-    // 1 + 3: throughput and coverage growth on the clean reference
-    // workload — stable-report (n + 1 = 2, depth 8) by default, or
-    // whatever campaign the scenario file declares. Campaigns are
-    // deterministic, so repeating one only re-times the identical work;
-    // the best of three rejects scheduler noise on loaded machines.
-    let (label, report, execs_per_sec) = match &scenario {
-        Some(path) => match scenario_campaign(path) {
-            Ok((label, report, rate)) => (label, report, rate),
-            Err(msg) => {
-                eprintln!("error: {msg}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        },
-        None => {
-            let cfg = FuzzConfig::new(samples::stable_report(2, 2, 8))
-                .seed(42)
-                .budget(4, execs);
-            let (report, rate) = best_of_3(&cfg);
-            ("stable-report, n+1 = 2, depth 8".to_string(), report, rate)
+    let (deep_label, deep_cfg) = match deep_campaign() {
+        Ok(v) => v,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::from(2);
         }
     };
 
-    // 2: the algorithm-bound deep campaign (fixed; unaffected by
-    // --scenario).
-    let deep_cfg = FuzzConfig::new(samples::fig1(3, 24, 1))
+    // 1 + 3: throughput and coverage growth on the clean reference
+    // workload, stable-report (n + 1 = 2, depth 8). Campaigns are
+    // deterministic, so repeating one only re-times the identical work;
+    // the best of three rejects scheduler noise on loaded machines.
+    let cfg = FuzzConfig::new(samples::stable_report(2, 2, 8))
         .seed(42)
-        .budget(4, execs);
-    let (deep, deep_execs_per_sec) = best_of_3(&deep_cfg);
+        .budget(4, 4096);
+    let (report, execs_per_sec) = best_timed(|| fuzz(&cfg, &[]));
+
+    // 2: the algorithm-bound deep campaign.
+    let (deep, deep_execs_per_sec) = best_timed(|| deep_cfg.fuzz(&[]));
 
     let mut t = Table::new(
-        format!("Fuzzer — {label}, {} execs", report.execs),
+        format!(
+            "Fuzzer — stable-report, n+1 = 2, depth 8, {} execs",
+            report.execs
+        ),
         &["metric", "value"],
     );
     t.row(["execs/sec".to_string(), format!("{execs_per_sec:.0}")]);
@@ -198,10 +171,7 @@ fn main() -> ExitCode {
     }
 
     let mut dt = Table::new(
-        format!(
-            "Fuzzer (deep) — Fig. 1, n+1 = 3, depth 24, {} execs",
-            deep.execs
-        ),
+        format!("Fuzzer (deep) — {deep_label}, {} execs", deep.execs),
         &["metric", "value"],
     );
     dt.row(["execs/sec".to_string(), format!("{deep_execs_per_sec:.0}")]);
@@ -293,20 +263,16 @@ fn main() -> ExitCode {
             format!("{{\"mutant\":{name:?},\"budget\":{budget},\"found_at_exec\":{at}}}")
         })
         .collect();
-    let workload_label = match &scenario {
-        Some(_) => format!("{label} fuzzing"),
-        None => "stable-report fuzzing, n_plus_1 = 2, depth 8".to_string(),
-    };
     let deep_growth: Vec<String> = deep
         .growth
         .iter()
         .map(|g| format!("{{\"execs\":{},\"coverage\":{}}}", g.execs, g.coverage))
         .collect();
     let json = format!(
-        "{{\n  \"workload\": \"{workload_label}\",\n  \
+        "{{\n  \"workload\": \"stable-report fuzzing, n_plus_1 = 2, depth 8\",\n  \
          \"execs\": {},\n  \"execs_per_sec\": {execs_per_sec:.1},\n  \
          \"coverage\": {},\n  \"corpus\": {},\n  \"growth\": [{}],\n  \
-         \"deep\": {{\n    \"workload\": \"fig1 fuzzing, n_plus_1 = 3, depth 24\",\n    \
+         \"deep\": {{\n    \"workload\": \"{deep_label}\",\n    \
          \"execs\": {},\n    \"execs_per_sec\": {deep_execs_per_sec:.1},\n    \
          \"coverage\": {},\n    \"corpus\": {},\n    \"growth\": [{}]\n  }},\n  \
          \"time_to_find\": [{}],\n  \"clean\": true\n}}\n",

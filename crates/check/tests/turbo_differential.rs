@@ -63,6 +63,18 @@ macro_rules! for_each_sample {
         let $name = "stable-report n2 d6";
         let $cfg = samples::stable_report(2, 2, 6);
         $body
+    }
+    {
+        // Room for every counterexample: a truncated search stops at a
+        // worker-dependent point, so its counters are not comparable.
+        let $name = "commit-buggy n2 d9 all violations";
+        let $cfg = samples::snapshot_commit(2, 1, 9, true).max_violations(16);
+        $body
+    }
+    {
+        let $name = "fig1 n2 d7 clean";
+        let $cfg = samples::fig1(2, 7, 0);
+        $body
     }};
 }
 
@@ -165,4 +177,16 @@ fn portfolio_reports_are_reproducible() {
         let b = run_with(cfg, |c| c);
         assert_eq!(a, b, "{name}: non-deterministic report");
     });
+}
+
+#[test]
+fn disabled_reductions_keep_the_expected_verdicts() {
+    // The seeded commit bug is still found with dedup and symmetry off,
+    // and Fig. 1 still explores clean when every node replays from the root.
+    let buggy = run_with(samples::snapshot_commit(2, 1, 9, true), |c| {
+        c.dedup(false).symmetry(false)
+    });
+    assert!(!buggy.ok(), "commit-buggy n2 d9 lost its counterexample");
+    let stateless = run_with(samples::fig1(2, 7, 0), |c| c.turbo(false));
+    assert!(stateless.ok(), "fig1 n2 d7 found a violation");
 }

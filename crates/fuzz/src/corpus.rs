@@ -6,10 +6,18 @@
 //! from parallel campaigns trivial (identical tokens collide into one
 //! file); loading sorts by filename so the read-back order is stable across
 //! filesystems.
+//!
+//! The store is crash-safe: an entry is written under a temporary name
+//! that does not end in `.uchk1` and renamed into place, so an interrupted
+//! save leaves at most a stray temporary file, which loading ignores. An
+//! entry whose content no longer hashes to its file name (renamed,
+//! truncated or edited) is rejected on load rather than silently seeding a
+//! campaign with a token nobody saved.
 
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use upsilon_sim::{Fnv64, ReplayToken};
 
 /// The file extension of corpus entries.
@@ -22,17 +30,34 @@ fn entry_name(token: &ReplayToken) -> String {
 }
 
 /// Writes `token` into `dir` (created if missing), named by content hash.
-/// Re-saving an existing entry rewrites the same file. Returns the path
+/// Re-saving an existing entry rewrites the same file. The content goes to
+/// a temporary file, is synced, and is renamed into place (the directory
+/// synced after), so a reader never sees a partial entry. Returns the path
 /// written.
 pub fn save_corpus_entry(dir: &Path, token: &ReplayToken) -> io::Result<PathBuf> {
+    // Distinct temporary names for concurrent savers, within a process
+    // (the counter) and across processes (the pid).
+    static SAVES: AtomicU64 = AtomicU64::new(0);
     fs::create_dir_all(dir)?;
-    let path = dir.join(entry_name(token));
-    fs::write(&path, format!("{}\n", token.encode()))?;
+    let name = entry_name(token);
+    let path = dir.join(&name);
+    let tmp = dir.join(format!(
+        ".{name}.{}-{}.tmp",
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(format!("{}\n", token.encode()).as_bytes())?;
+    file.sync_all()?;
+    fs::rename(&tmp, &path)?;
+    fs::File::open(dir)?.sync_all()?;
     Ok(path)
 }
 
 /// Loads every `.uchk1` entry in `dir`, sorted by filename. A missing
-/// directory is an empty corpus; an unparsable entry is an
+/// directory is an empty corpus; other files (such as the temporary files
+/// of an interrupted save) are ignored. An unparsable entry, or one whose
+/// content does not hash to its file name, is an
 /// [`io::ErrorKind::InvalidData`] error naming the file.
 pub fn load_corpus(dir: &Path) -> io::Result<Vec<ReplayToken>> {
     let mut names: Vec<PathBuf> = match fs::read_dir(dir) {
@@ -49,13 +74,21 @@ pub fn load_corpus(dir: &Path) -> io::Result<Vec<ReplayToken>> {
     names
         .into_iter()
         .map(|path| {
-            let text = fs::read_to_string(&path)?;
-            ReplayToken::parse(&text).map_err(|e| {
+            let invalid = |msg: String| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("{}: {e}", path.display()),
+                    format!("{}: {msg}", path.display()),
                 )
-            })
+            };
+            let text = fs::read_to_string(&path)?;
+            let token = ReplayToken::parse(&text).map_err(|e| invalid(e.to_string()))?;
+            let want = entry_name(&token);
+            if path.file_name().is_none_or(|n| n != want.as_str()) {
+                return Err(invalid(format!(
+                    "content hashes to {want}, not to the file name"
+                )));
+            }
+            Ok(token)
         })
         .collect()
 }
@@ -104,6 +137,56 @@ mod tests {
         fs::write(dir.join("deadbeef.uchk1"), "not a token\n").unwrap();
         let err = load_corpus(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fresh, empty scratch directory for one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("upsilon-corpus-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn renamed_entry_is_invalid_data_naming_the_file() {
+        let dir = scratch("renamed");
+        let saved = save_corpus_entry(&dir, &sample(1)).unwrap();
+        let moved = dir.join(format!("{:016x}.{CORPUS_EXT}", 0x1234u64));
+        fs::rename(&saved, &moved).unwrap();
+        let err = load_corpus(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("0000000000001234.uchk1"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_entry_is_invalid_data_naming_the_file() {
+        let dir = scratch("truncated");
+        let saved = save_corpus_entry(&dir, &sample(1)).unwrap();
+        // Dropping the last schedule step still parses as a token; only
+        // the content hash tells the two apart.
+        let text = fs::read_to_string(&saved).unwrap();
+        let cut = text.trim_end().rsplit_once(',').unwrap().0;
+        assert!(ReplayToken::parse(cut).is_ok(), "the cut is a valid token");
+        fs::write(&saved, format!("{cut}\n")).unwrap();
+        let err = load_corpus(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let name = saved.file_name().unwrap().to_str().unwrap();
+        assert!(err.to_string().contains(name), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn leftover_temp_file_is_ignored() {
+        let dir = scratch("leftover");
+        let a = sample(1);
+        let saved = save_corpus_entry(&dir, &a).unwrap();
+        let entries = fs::read_dir(&dir).unwrap().count();
+        assert_eq!(entries, 1, "the save leaves no temporary file behind");
+        // What an interrupted save leaves: a partial temporary file.
+        let name = saved.file_name().unwrap().to_str().unwrap();
+        fs::write(dir.join(format!(".{name}.1-0.tmp")), "UCHK1:n=3;c=").unwrap();
+        assert_eq!(load_corpus(&dir).unwrap(), vec![a]);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -22,7 +22,9 @@
 //!    ([`matrix::arm_summaries`]).
 //!
 //! The `upsilon-scenario` binary exposes the same pipeline on the command
-//! line (`validate`, `expand`, `run`, `ab`).
+//! line (`validate`, `expand`, `run`, `ab`); it is the one front end for
+//! check and fuzz workloads, with `run --corpus DIR` persisting a fuzz
+//! corpus across invocations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +39,9 @@ pub use upsilon_scenario_schema::{
     Cell, Diag, EngineSel, Expect, Kind, Scalar, ScenarioDoc, KNOWN_PROTOCOLS, REQUIRED_SAMPLES,
 };
 
-pub use matrix::{arm_summaries, run_matrix, to_jsonl, EvidenceRecord, MatrixReport};
+pub use matrix::{
+    arm_summaries, run_matrix, run_matrix_with_corpus, to_jsonl, EvidenceRecord, MatrixReport,
+};
 pub use registry::{resolve_check, resolve_fuzz, resolve_swarm, AnyCheck, AnyFuzz};
 
 /// The checked-in scenario directory at the repository root.

@@ -1,9 +1,11 @@
-//! The scenario driver. Usage:
+//! The scenario driver, the one command-line front end for check, fuzz,
+//! experiment and swarm workloads. Usage:
 //!
 //! ```text
 //! cargo run -p upsilon-scenario -- validate [FILE...]
 //! cargo run -p upsilon-scenario -- expand FILE
 //! cargo run -p upsilon-scenario -- run FILE [--workers N] [--json] [--expect] [--out PATH]
+//!                                           [--corpus DIR]
 //! cargo run -p upsilon-scenario -- ab FILE [--workers N]
 //! ```
 //!
@@ -13,42 +15,82 @@
 //! JSON with `--json`, written to `--out` if given), exiting non-zero
 //! under `--expect` when any verdict misses its expectation; `ab` adds the
 //! per-arm A/B comparison table.
+//!
+//! `--corpus DIR` (fuzz-kind files only) loads the on-disk corpus once,
+//! seeds every campaign of the matrix with it, and saves the union of the
+//! campaigns' corpora back after the merge; the evidence then depends only
+//! on the file and the corpus contents, at any `--workers`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use upsilon_core::table::Table;
-use upsilon_scenario::matrix::{arm_summaries, run_matrix, to_jsonl, validate_cells};
-use upsilon_scenario::{load_all, load_file, ScenarioDoc};
+use upsilon_fuzz::{load_corpus, save_corpus_entry};
+use upsilon_scenario::matrix::{arm_summaries, run_matrix_with_corpus, to_jsonl, validate_cells};
+use upsilon_scenario::{load_all, load_file, Kind, ScenarioDoc};
+
+const USAGE: &str = "usage: upsilon-scenario <command> [args]
+  validate [FILE...]   parse and resolve scenario files (default: every checked-in file)
+  expand FILE          print the matrix cells
+  run FILE [options]   run the matrix and print the evidence table
+  ab FILE [options]    run, then compare the variant arms
+options:
+  --workers N          worker threads (default 0 = auto)
+  --json               print the evidence as line-delimited JSON
+  --out PATH           also write the JSON evidence to PATH
+  --expect             exit 1 when a verdict misses its expectation
+  --corpus DIR         fuzz files only: seed every campaign from DIR and
+                       save the merged corpus back";
+
+/// The `run` / `ab` options.
+struct RunOpts {
+    workers: usize,
+    json: bool,
+    expect: bool,
+    ab: bool,
+    out: Option<PathBuf>,
+    corpus: Option<PathBuf>,
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("usage: upsilon-scenario <validate|expand|run|ab> [args]");
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
     let mut files: Vec<PathBuf> = Vec::new();
-    let mut workers = 0usize;
-    let mut json = false;
-    let mut expect = false;
-    let mut out: Option<PathBuf> = None;
+    let mut opts = RunOpts {
+        workers: 0,
+        json: false,
+        expect: false,
+        ab: cmd == "ab",
+        out: None,
+        corpus: None,
+    };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => workers = v,
+                Some(v) => opts.workers = v,
                 None => {
                     eprintln!("--workers needs an integer");
                     return ExitCode::FAILURE;
                 }
             },
-            "--json" => json = true,
-            "--expect" => expect = true,
+            "--json" => opts.json = true,
+            "--expect" => opts.expect = true,
             "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
+                Some(v) => opts.out = Some(PathBuf::from(v)),
                 None => {
                     eprintln!("--out needs a path");
+                    return ExitCode::FAILURE;
+                }
+            },
+            "--corpus" => match it.next() {
+                Some(v) => opts.corpus = Some(PathBuf::from(v)),
+                None => {
+                    eprintln!("--corpus needs a directory");
                     return ExitCode::FAILURE;
                 }
             },
@@ -73,18 +115,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            cmd_run(
-                &path,
-                &doc,
-                workers,
-                json,
-                expect,
-                cmd == "ab",
-                out.as_deref(),
-            )
+            cmd_run(&path, &doc, &opts)
         }
         other => {
-            eprintln!("unknown subcommand {other:?} (validate|expand|run|ab)");
+            eprintln!("unknown subcommand {other:?}\n{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -165,17 +199,35 @@ fn cmd_expand(path: &Path, doc: &ScenarioDoc) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(
-    path: &Path,
-    doc: &ScenarioDoc,
-    workers: usize,
-    json: bool,
-    expect: bool,
-    ab: bool,
-    out: Option<&Path>,
-) -> ExitCode {
+fn cmd_run(path: &Path, doc: &ScenarioDoc, opts: &RunOpts) -> ExitCode {
+    let seeds = match &opts.corpus {
+        None => Vec::new(),
+        Some(_) if doc.kind != Kind::Fuzz => {
+            eprintln!(
+                "{}: --corpus needs a fuzz scenario, `{}` has kind `{}`",
+                path.display(),
+                doc.name,
+                doc.kind
+            );
+            return ExitCode::FAILURE;
+        }
+        Some(dir) => match load_corpus(dir) {
+            Ok(seeds) => {
+                eprintln!(
+                    "corpus: loaded {} entries from {}",
+                    seeds.len(),
+                    dir.display()
+                );
+                seeds
+            }
+            Err(e) => {
+                eprintln!("--corpus: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let started = Instant::now();
-    let report = match run_matrix(doc, workers) {
+    let report = match run_matrix_with_corpus(doc, opts.workers, &seeds) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{}: {e}", path.display());
@@ -183,14 +235,27 @@ fn cmd_run(
         }
     };
     let elapsed = started.elapsed().as_secs_f64();
+    if let Some(dir) = &opts.corpus {
+        for tok in &report.corpus {
+            if let Err(e) = save_corpus_entry(dir, tok) {
+                eprintln!("--corpus: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+        eprintln!(
+            "corpus: saved {} entries to {}",
+            report.corpus.len(),
+            dir.display()
+        );
+    }
     let jsonl = to_jsonl(&report.records);
-    if let Some(out) = out {
+    if let Some(out) = &opts.out {
         if let Err(e) = std::fs::write(out, &jsonl) {
             eprintln!("{}: {e}", out.display());
             return ExitCode::FAILURE;
         }
     }
-    if json {
+    if opts.json {
         print!("{jsonl}");
     } else {
         let mut t = Table::new(
@@ -212,7 +277,7 @@ fn cmd_run(
         }
         println!("{t}");
     }
-    if ab {
+    if opts.ab {
         let mut t = Table::new(
             format!("scenario {} — A/B arms", report.scenario),
             &["arm", "runs", "matched", "violations", "mean states"],
@@ -238,7 +303,7 @@ fn cmd_run(
         report.deterministic,
         report.ok
     );
-    if expect && !report.ok {
+    if opts.expect && !report.ok {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

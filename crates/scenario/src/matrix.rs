@@ -8,9 +8,11 @@
 //! fields), which is what the golden result-table snapshots assert on.
 
 use std::fmt;
+use std::sync::Arc;
 
+use upsilon_fuzz::FuzzReport;
 use upsilon_scenario_schema::{Cell, EngineSel, Expect, Kind, Scalar, ScenarioDoc};
-use upsilon_sim::{run_batch, EngineKind};
+use upsilon_sim::{run_batch, EngineKind, ReplayToken};
 
 use crate::registry::{resolve_check, resolve_fuzz, AnyCheck};
 use crate::{experiment, registry};
@@ -114,6 +116,9 @@ pub struct MatrixReport {
     pub deterministic: bool,
     /// `deterministic` and every record matched its expectation.
     pub ok: bool,
+    /// The union of the fuzz runs' final corpora, in job order without
+    /// duplicates (empty for the other kinds).
+    pub corpus: Vec<ReplayToken>,
 }
 
 fn engines_of(sel: EngineSel) -> Vec<EngineKind> {
@@ -151,6 +156,25 @@ fn check_out(cfg: &AnyCheck) -> RunOut {
     }
 }
 
+fn fuzz_out(report: &FuzzReport) -> RunOut {
+    let first = report.violations.first();
+    RunOut {
+        verdict: if report.violations.is_empty() {
+            Verdict::Pass
+        } else {
+            Verdict::Violation
+        },
+        states: report.execs,
+        violations: report.violations.len(),
+        spec: first.map(|v| v.spec.clone()),
+        token: first.map(|v| v.token.to_string()),
+        extras: RunOut::extras_of(vec![
+            ("coverage", report.coverage_hashes.len() as i64),
+            ("corpus", report.corpus.len() as i64),
+        ]),
+    }
+}
+
 /// Runs one `(cell, seed, engine)` coordinate of a scenario.
 pub fn run_one(
     doc: &ScenarioDoc,
@@ -158,35 +182,33 @@ pub fn run_one(
     seed: u64,
     engine: EngineKind,
 ) -> Result<RunOut, String> {
-    match doc.kind {
-        Kind::Check => Ok(check_out(&resolve_check(cell)?.engine(engine))),
+    run_seeded(doc, cell, seed, engine, &[]).map(|(out, _)| out)
+}
+
+/// [`run_one`] with a fuzz campaign seeded from `corpus`, also returning
+/// the campaign's final corpus (empty for the other kinds, which ignore
+/// `corpus`).
+fn run_seeded(
+    doc: &ScenarioDoc,
+    cell: &Cell,
+    seed: u64,
+    engine: EngineKind,
+    corpus: &[ReplayToken],
+) -> Result<(RunOut, Vec<ReplayToken>), String> {
+    let out = match doc.kind {
+        Kind::Check => check_out(&resolve_check(cell)?.engine(engine)),
         Kind::Fuzz => {
-            let report = resolve_fuzz(doc, cell, seed)?.fuzz(&[]);
-            let first = report.violations.first();
-            Ok(RunOut {
-                verdict: if report.violations.is_empty() {
-                    Verdict::Pass
-                } else {
-                    Verdict::Violation
-                },
-                states: report.execs,
-                violations: report.violations.len(),
-                spec: first.map(|v| v.spec.clone()),
-                token: first.map(|v| v.token.to_string()),
-                extras: RunOut::extras_of(vec![
-                    ("coverage", report.coverage_hashes.len() as i64),
-                    ("corpus", report.corpus.len() as i64),
-                ]),
-            })
+            let report = resolve_fuzz(doc, cell, seed)?.fuzz(corpus);
+            return Ok((fuzz_out(&report), report.corpus));
         }
-        Kind::Experiment => experiment::run_cell(cell, seed, engine),
+        Kind::Experiment => experiment::run_cell(cell, seed, engine)?,
         Kind::Swarm => {
             let cfg = registry::resolve_swarm(doc, cell, seed)?;
             let report = upsilon_swarm::run_swarm(&cfg);
             let unclean = (report.instances - report.spec_ok)
                 + (report.instances - report.run_cond_ok)
                 + (report.instances - report.finished);
-            Ok(RunOut {
+            RunOut {
                 verdict: if report.all_ok() {
                     Verdict::Pass
                 } else {
@@ -213,14 +235,19 @@ pub fn run_one(
                     ("decisions", report.decisions as i64),
                     ("fd_queries", report.fd_queries as i64),
                 ]),
-            })
+            }
         }
-        Kind::Bench => Err(format!(
-            "scenario `{}`: bench scenarios run through the bench bins \
-             (`bench_check --scenario`), not the matrix driver",
-            doc.name
-        )),
-    }
+        Kind::Bench => return Err(bench_refusal(doc)),
+    };
+    Ok((out, Vec::new()))
+}
+
+fn bench_refusal(doc: &ScenarioDoc) -> String {
+    format!(
+        "scenario `{}`: bench scenarios run through the bench bins \
+         (`bench_check`), not the matrix driver",
+        doc.name
+    )
 }
 
 /// Validates that every cell of the scenario resolves, without running any.
@@ -254,12 +281,20 @@ pub fn validate_cells(doc: &ScenarioDoc) -> Result<Vec<Cell>, String> {
 /// returns results in job order regardless of the worker count, so the
 /// record stream is deterministic.
 pub fn run_matrix(doc: &ScenarioDoc, workers: usize) -> Result<MatrixReport, String> {
+    run_matrix_with_corpus(doc, workers, &[])
+}
+
+/// [`run_matrix`] with every fuzz campaign seeded from `corpus`, loaded
+/// once by the caller before the fan-out. The evidence depends only on the
+/// document and the corpus contents, never on the worker count;
+/// [`MatrixReport::corpus`] carries the merged corpora back for saving.
+pub fn run_matrix_with_corpus(
+    doc: &ScenarioDoc,
+    workers: usize,
+    corpus: &[ReplayToken],
+) -> Result<MatrixReport, String> {
     if doc.kind == Kind::Bench {
-        return Err(format!(
-            "scenario `{}`: bench scenarios run through the bench bins \
-             (`bench_check --scenario`), not the matrix driver",
-            doc.name
-        ));
+        return Err(bench_refusal(doc));
     }
     let cells = validate_cells(doc)?;
     let engines = engines_of(doc.engine);
@@ -274,20 +309,28 @@ pub fn run_matrix(doc: &ScenarioDoc, workers: usize) -> Result<MatrixReport, Str
             }
         }
     }
+    let shared: Arc<[ReplayToken]> = corpus.into();
     let jobs: Vec<_> = coords
         .iter()
         .map(|(_, cell, seed, _, engine)| {
             let doc = doc.clone();
             let cell = cell.clone();
             let (seed, engine) = (*seed, *engine);
-            move || run_one(&doc, &cell, seed, engine)
+            let corpus = Arc::clone(&shared);
+            move || run_seeded(&doc, &cell, seed, engine, &corpus)
         })
         .collect();
     let outs = run_batch(jobs, workers);
 
     let mut records = Vec::with_capacity(coords.len());
+    let mut merged: Vec<ReplayToken> = Vec::new();
     for ((ci, cell, seed, repeat, engine), out) in coords.into_iter().zip(outs) {
-        let out = out?;
+        let (out, run_corpus) = out?;
+        for tok in run_corpus {
+            if !merged.contains(&tok) {
+                merged.push(tok);
+            }
+        }
         let verdict = out.verdict;
         records.push(EvidenceRecord {
             scenario: doc.name.clone(),
@@ -325,6 +368,7 @@ pub fn run_matrix(doc: &ScenarioDoc, workers: usize) -> Result<MatrixReport, Str
         records,
         deterministic,
         ok,
+        corpus: merged,
     })
 }
 

@@ -259,9 +259,9 @@ pub fn resolve_check(cell: &Cell) -> Result<AnyCheck, String> {
 /// bindings are that protocol's axes, and the optional `floor` axis
 /// overrides the bench's per-workload matrix-gain floor.
 ///
-/// Bench scenarios are *resolved* here but *measured* by
-/// `bench_check --scenario`, which re-runs the target under its three
-/// reduction modes; the matrix driver refuses them.
+/// Bench scenarios are *resolved* here but *measured* by `bench_check`,
+/// which re-runs the target under each of its reduction modes; the matrix
+/// driver refuses them.
 pub fn bench_workload_of(cell: &Cell) -> Result<(String, AnyCheck, Option<f64>), String> {
     if cell.protocol != "bench-suite" {
         return Err(format!(

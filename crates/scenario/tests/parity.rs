@@ -19,8 +19,12 @@ fn check_samples_match_direct_construction() {
     // (scenario, cell index, direct construction)
     let fig1 = load("fig1").expect("checked-in scenario");
     let cells = fig1.expand();
-    assert_eq!(cells.len(), 4, "fig1 spans depth × max_faults");
-    for (cell, (depth, faults)) in cells.iter().zip([(5, 0), (5, 1), (6, 0), (6, 1)]) {
+    assert_eq!(cells.len(), 6, "fig1 spans depth × max_faults");
+    for (cell, (depth, faults)) in
+        cells
+            .iter()
+            .zip([(5, 0), (5, 1), (6, 0), (6, 1), (8, 0), (8, 1)])
+    {
         let via_registry = match resolve_check(cell).expect("resolves") {
             AnyCheck::Set(cfg) => check(&cfg),
             AnyCheck::Unit(_) => panic!("fig1 is a ProcessSet sample"),
