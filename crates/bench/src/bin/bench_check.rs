@@ -10,22 +10,26 @@
 //! carries the check-registry axis bindings, and pins its per-workload
 //! reduction floor.
 //!
-//! Each workload is explored three times at the same depth:
+//! Each workload is explored in six modes at the same depth, walking the
+//! explorer's `Reduction` ladder (`None < Sleep < Dedup`) and its two
+//! other axes, the commutativity matrix and the certified orbit:
 //!
-//! * **naive** — no reduction: the full tree, the denominator;
-//! * **lattice** — sleep-set reduction over the coarse 3-value `Access`
-//!   conflict lattice (the pre-matrix explorer);
-//! * **matrix** — sleep sets over the lattice refined by the generated
-//!   per-op-pair commutativity matrix (`upsilon_sim::commute`), the
-//!   explorer's default.
+//! | mode | configuration |
+//! |---|---|
+//! | **naive** | `Reduction::None`, `matrix(false)`: the full tree, the denominator |
+//! | **lattice** | `Reduction::Sleep`, `matrix(false)`: sleep sets over the coarse 3-value `Access` lattice (the pre-matrix explorer) |
+//! | **matrix** | `Reduction::Sleep`: the lattice refined by the generated per-op-pair matrix (`upsilon_sim::commute`), the explorer's default |
+//! | **stateless** | the matrix search with `turbo(false)`: replay from the root |
+//! | **dedup** | `Reduction::Dedup`, `orbit(Orbit::Trivial)`: fingerprint dedup, orbit-blind |
+//! | **sym** | `Reduction::Dedup`: dedup keyed up to the certified orbit, plus its crash collapse |
 //!
-//! Reported per entry: node counts for all three modes, the reduction
-//! ratio `naive / matrix`, the matrix's own gain `lattice / matrix`, and
-//! the sustained states/second of the matrix search. Two further modes
-//! measure the orthogonal reducers on top of the matrix search:
-//! **dedup** (fingerprint dedup, orbit-blind) and **sym** (dedup plus the
-//! process-symmetry reduction over the statically certified orbit), whose
-//! `dedup / sym` node ratio is the symmetry reduction factor. Every
+//! Reported per entry: node counts for the modes, the reduction ratio
+//! `naive / matrix`, the matrix's own gain `lattice / matrix`, and the
+//! sustained states/second of the matrix search. The `dedup / sym` node
+//! ratio is the symmetry reduction factor. On the check-paper recipes
+//! (Figs. 1–2, trivial orbits) dedup and symmetry prune nothing, which is
+//! why `Dedup` is off the default path; they pay on `stable-report`
+//! (12,217 lattice nodes, 1,183 matrix, 385 dedup, 109 sym). Every
 //! workload must come back clean in all modes with naive and matrix
 //! agreeing on violations (soundness spot-check); acceptance further
 //! requires each entry to clear its reduction floor, the best entry to
@@ -38,8 +42,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
-use upsilon_check::{check, CheckConfig, CheckReport};
+use upsilon_check::{check, CheckConfig, CheckReport, Reduction};
 use upsilon_core::table::Table;
+use upsilon_sim::symmetry::Orbit;
 use upsilon_sim::FdValue;
 
 /// Throughput floor (nodes spec-checked per second, matrix-reduced search,
@@ -116,10 +121,11 @@ struct Entry {
     /// The matrix search re-executed stateless (turbo off) — the replay
     /// baseline the snapshot-resume cursor is measured against.
     stateless: Sample,
-    /// The matrix search with fingerprint dedup on (symmetry off).
+    /// The matrix search with fingerprint dedup on, under the trivial
+    /// orbit.
     dedup: Sample,
-    /// The dedup search with the process-symmetry reduction on top —
-    /// orbit-canonical fingerprints plus crash/menu collapse.
+    /// The dedup search under the certified orbit — orbit-canonical
+    /// fingerprints plus crash collapse.
     sym: Sample,
 }
 
@@ -151,19 +157,9 @@ impl Entry {
 
 fn explore<D: FdValue>(
     base: &CheckConfig<D>,
-    reduction: bool,
-    use_matrix: bool,
-    turbo: bool,
-    dedup: bool,
-    symmetry: bool,
+    vary: impl FnOnce(CheckConfig<D>) -> CheckConfig<D>,
 ) -> Sample {
-    let cfg = base
-        .clone()
-        .reduction(reduction)
-        .matrix(use_matrix)
-        .turbo(turbo)
-        .dedup(dedup)
-        .symmetry(symmetry);
+    let cfg = vary(base.clone());
     let start = Instant::now();
     let report = check(&cfg);
     Sample {
@@ -179,12 +175,14 @@ fn measure<D: FdValue>(name: &str, base: &CheckConfig<D>, floor: f64) -> Entry {
         depth: base.depth,
         faults: base.max_faults,
         floor,
-        naive: explore(base, false, false, true, false, false),
-        lattice: explore(base, true, false, true, false, false),
-        matrix: explore(base, true, true, true, false, false),
-        stateless: explore(base, true, true, false, false, false),
-        dedup: explore(base, true, true, true, true, false),
-        sym: explore(base, true, true, true, true, true),
+        naive: explore(base, |c| c.reduction(Reduction::None).matrix(false)),
+        lattice: explore(base, |c| c.reduction(Reduction::Sleep).matrix(false)),
+        matrix: explore(base, |c| c.reduction(Reduction::Sleep)),
+        stateless: explore(base, |c| c.reduction(Reduction::Sleep).turbo(false)),
+        dedup: explore(base, |c| {
+            c.reduction(Reduction::Dedup).orbit(Orbit::Trivial)
+        }),
+        sym: explore(base, |c| c.reduction(Reduction::Dedup)),
     }
 }
 

@@ -43,17 +43,15 @@
 //! each candidate), and reported with both raw and shrunk tokens.
 
 use crate::menu::{FdMenu, MenuOracle, QueryRecord};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use upsilon_analysis::{RunConditionsSpec, RunSpec};
 use upsilon_core::shrink::ddmin_counted;
 use upsilon_sim::symmetry::Orbit;
 use upsilon_sim::{
-    ops_commute, orbit_trace_fingerprint, resolve, run_stealing, trace_fingerprint, Access, AlgoFn,
-    EngineKind, FailurePattern, FdValue, FnvWrite, Key, Memory, OpSig, OrbitFingerprint, ProcessId,
-    ReplayToken, ResolvedOp, Run, Session, SessionSave, SessionStep, SimBuilder, StealJob,
-    StealScope, StepKind, Time, TraceLevel,
+    ops_commute, resolve, run_stealing, Access, AlgoFn, EngineKind, FailurePattern, FdValue,
+    FnvWrite, Key, Memory, OpSig, ProcessId, ReplayToken, ResolvedOp, Run, Session, SessionSave,
+    SessionStep, SimBuilder, StealJob, StealScope, StepKind, Time, TraceLevel,
 };
 
 /// The interned id of a [`Footprint`] within one explorer (see
@@ -268,6 +266,37 @@ impl Footprints {
 /// entries do not participate.
 pub type AlgoFactory<D> = Arc<dyn Fn() -> Vec<Option<AlgoFn<D>>> + Send + Sync>;
 
+/// How much of the search tree the explorer may prune: an ordered ladder,
+/// each level keeping every reduction of the levels below it.
+///
+/// The process-symmetry reduction is not a level: it follows
+/// [`CheckConfig::orbit`] (see there).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
+pub enum Reduction {
+    /// No pruning: the full tree, the naive baseline benchmarked against.
+    None,
+    /// Sleep-set partial-order reduction (the default).
+    #[default]
+    Sleep,
+    /// Sleep sets plus state-fingerprint deduplication: prune a node whose
+    /// canonical fingerprint — object states plus per-process trace
+    /// digests plus the unserved pick script, crash context and remaining
+    /// budgets — was already fully explored with an equal-or-looser sleep
+    /// set and an equal-or-deeper remaining depth. Sound for the
+    /// state-based, trace-closed specs this checker is built for (verdicts
+    /// are functions of per-process projections, which equal fingerprints
+    /// pin down); the differential suite locks verdict and token equality
+    /// against [`Reduction::Sleep`]. The key is computed up to the
+    /// within-class process renaming [`CheckConfig::orbit`] certifies (pid
+    /// order under [`Orbit::Trivial`]). Inert without turbo: the
+    /// fingerprints come from the live session, so a stateless exploration
+    /// ([`CheckConfig::turbo`] off, or the thread engine) runs exactly as
+    /// [`Reduction::Sleep`]. The session then records at
+    /// [`TraceLevel::Digest`], so each op's response enters the digest as
+    /// one word, with no rendered text.
+    Dedup,
+}
+
 /// Configuration of one exploration.
 #[derive(Clone)]
 pub struct CheckConfig<D: FdValue> {
@@ -285,9 +314,8 @@ pub struct CheckConfig<D: FdValue> {
     pub specs: Vec<Arc<dyn RunSpec<D>>>,
     /// The algorithms under test.
     pub algos: AlgoFactory<D>,
-    /// Sleep-set partial-order reduction; `false` explores the full tree
-    /// (the naive baseline benchmarked against).
-    pub reduction: bool,
+    /// How much of the tree to prune (default [`Reduction::Sleep`]).
+    pub reduction: Reduction,
     /// Snapshot-resume execution (on by default): nodes run on an
     /// incremental [`Session`] that saves at every node and rewinds by
     /// fast-forward replay, instead of re-executing each path from the
@@ -295,33 +323,18 @@ pub struct CheckConfig<D: FdValue> {
     /// to stateless re-execution under [`EngineKind::Threads`] (thread
     /// state machines cannot be rewound).
     pub turbo: bool,
-    /// State-fingerprint deduplication (on by default since the PR 8
-    /// differential suite proved verdict/token preservation): prune a node
-    /// whose canonical fingerprint — object states plus per-process trace
-    /// digests plus the unserved pick script, crash context and remaining
-    /// budgets — was already fully explored with an equal-or-looser sleep
-    /// set and an equal-or-deeper remaining depth. Sound for the
-    /// state-based, trace-closed specs this checker is built for (verdicts
-    /// are functions of per-process projections, which equal fingerprints
-    /// pin down); the differential suite locks verdict equality per
-    /// scenario. Requires `turbo` (fingerprints come from the live session)
-    /// and records the session at [`TraceLevel::Digest`], so each op's
-    /// response enters the digest as one word, with no rendered text.
-    pub dedup: bool,
-    /// Process-symmetry reduction (on by default; the identity unless
-    /// [`CheckConfig::orbit`] is non-trivial): collapse crash injections to
-    /// one representative per orbit class, skip duplicate failure-detector
-    /// candidates, and canonicalize dedup fingerprints up to within-class
-    /// process renaming. Sound only for configurations whose orbit the
-    /// static audit (`upsilon-symmetry`) certifies; the differential suite
-    /// locks verdict and token equality against the unreduced search.
-    pub symmetry: bool,
     /// The certified orbit classes of this configuration's processes
-    /// (default [`Orbit::Trivial`], under which the symmetry reduction is
-    /// the identity). Samples set this from the generated
-    /// `upsilon_sim::symmetry::sample_orbit` table; hand-built configs must
-    /// only claim a non-trivial orbit when algorithms, inputs, specs and
-    /// menu really are invariant under class-preserving permutations.
+    /// (default [`Orbit::Trivial`]). A non-trivial orbit turns on the
+    /// process-symmetry reduction: crash injections collapse to one
+    /// representative per orbit class, and [`Reduction::Dedup`] keys are
+    /// canonical up to within-class process renaming. Under
+    /// [`Orbit::Trivial`] both are the identity. Samples set this from the
+    /// generated `upsilon_sim::symmetry::sample_orbit` table; hand-built
+    /// configs must only claim a non-trivial orbit when algorithms, inputs,
+    /// specs and menu really are invariant under class-preserving
+    /// permutations, as the static audit (`upsilon-symmetry`) certifies.
+    /// The differential suite locks verdict and token equality against the
+    /// trivial orbit.
     pub orbit: Orbit,
     /// Refine the conflict relation through the generated per-op-pair
     /// commutativity matrix (`upsilon_sim::commute`): op signatures are
@@ -353,8 +366,6 @@ impl<D: FdValue> std::fmt::Debug for CheckConfig<D> {
             .field("max_faults", &self.max_faults)
             .field("reduction", &self.reduction)
             .field("turbo", &self.turbo)
-            .field("dedup", &self.dedup)
-            .field("symmetry", &self.symmetry)
             .field("orbit", &self.orbit)
             .field("split_depth", &self.split_depth)
             .finish_non_exhaustive()
@@ -377,10 +388,8 @@ impl<D: FdValue> CheckConfig<D> {
             menu,
             specs: Vec::new(),
             algos,
-            reduction: true,
+            reduction: Reduction::Sleep,
             turbo: true,
-            dedup: true,
-            symmetry: true,
             orbit: Orbit::Trivial,
             use_matrix: true,
             engine: EngineKind::Inline,
@@ -404,29 +413,15 @@ impl<D: FdValue> CheckConfig<D> {
         self
     }
 
-    /// Enables or disables the sleep-set reduction.
-    pub fn reduction(mut self, on: bool) -> Self {
-        self.reduction = on;
+    /// Sets how much of the tree to prune (default [`Reduction::Sleep`]).
+    pub fn reduction(mut self, reduction: Reduction) -> Self {
+        self.reduction = reduction;
         self
     }
 
     /// Enables or disables snapshot-resume execution (on by default).
     pub fn turbo(mut self, on: bool) -> Self {
         self.turbo = on;
-        self
-    }
-
-    /// Enables or disables state-fingerprint deduplication (on by
-    /// default; effective only with `turbo` on an inline engine).
-    pub fn dedup(mut self, on: bool) -> Self {
-        self.dedup = on;
-        self
-    }
-
-    /// Enables or disables the process-symmetry reduction (on by default;
-    /// the identity unless a non-trivial [`CheckConfig::orbit`] is set).
-    pub fn symmetry(mut self, on: bool) -> Self {
-        self.symmetry = on;
         self
     }
 
@@ -474,12 +469,11 @@ pub struct CheckStats {
     /// Step children that produced no step (the process finished instantly).
     pub no_step_children: u64,
     /// Nodes pruned because an equal state fingerprint was already fully
-    /// explored (always 0 unless [`CheckConfig::dedup`] is on).
+    /// explored (always 0 below [`Reduction::Dedup`]).
     pub dedup_pruned: u64,
-    /// Children skipped by the process-symmetry reduction: crash injections
-    /// collapsed to one representative per orbit class and duplicate
-    /// failure-detector candidates (always 0 unless
-    /// [`CheckConfig::symmetry`] is on).
+    /// Children skipped as symmetric duplicates: crash injections collapsed
+    /// to one representative per orbit class (only under a non-trivial
+    /// [`CheckConfig::orbit`]) and repeated failure-detector candidates.
     pub symmetry_pruned: u64,
     /// Whether a node or violation budget cut the search short.
     pub truncated: bool,
@@ -792,7 +786,7 @@ impl<'a, D: FdValue> TurboCursor<'a, D> {
         // each op's `op -> resp` digest without rendering text. Without
         // dedup the session matches the stateless replay's trace level byte
         // for byte.
-        let trace_level = if cfg.dedup {
+        let trace_level = if cfg.reduction == Reduction::Dedup {
             TraceLevel::Digest
         } else {
             TraceLevel::Steps
@@ -1005,68 +999,16 @@ impl<'a, D: FdValue> Cursor<'a, D> {
             },
         }
     }
-
-    /// Failure-detector queries per process on the current path: kept by
-    /// the live session, counted from the run's samples on the stateless
-    /// cursor.
-    fn query_counts(&self) -> Cow<'_, [u64]> {
-        match self {
-            Cursor::Turbo(c) => Cow::Borrowed(c.session.query_counts()),
-            Cursor::Stateless(c) => {
-                let run = &c.top().run;
-                let mut counts = vec![0u64; run.n_plus_1()];
-                for (_, p, _) in run.fd_samples() {
-                    counts[p.index()] += 1;
-                }
-                Cow::Owned(counts)
-            }
-        }
-    }
-
-    /// The canonical state fingerprint of the current node (see
-    /// [`trace_fingerprint`]).
-    fn fingerprint(&self) -> u64 {
-        match self {
-            Cursor::Turbo(c) => c.session.fingerprint(),
-            Cursor::Stateless(c) => {
-                let exec = c.top();
-                trace_fingerprint(&exec.run, &exec.memory)
-            }
-        }
-    }
-
-    /// The orbit-canonical state fingerprint of the current node (see
-    /// [`orbit_trace_fingerprint`]).
-    fn orbit_fingerprint(&self, class_of: &[u32], extra: &[u64]) -> OrbitFingerprint {
-        match self {
-            Cursor::Turbo(c) => c.session.orbit_fingerprint(class_of, extra),
-            Cursor::Stateless(c) => {
-                let exec = c.top();
-                orbit_trace_fingerprint(&exec.run, &exec.memory, class_of, extra)
-            }
-        }
-    }
 }
 
 /// Which crash children the canonical-representative rule admits below a
 /// node — a property of the path's *shape*, not of the reached state, so it
-/// must join the dedup key (`crash_allowed` consults exactly this).
-fn crash_tag(path: &[Choice]) -> u64 {
-    match path.last() {
-        None => 1,
-        Some(Choice::Step(p)) => 2 + 2 * p.index() as u64,
-        Some(Choice::Crash(q)) if path.iter().all(|c| matches!(c, Choice::Crash(_))) => {
-            3 + 2 * q.index() as u64
-        }
-        Some(Choice::Crash(_)) => 0,
-    }
-}
-
-/// [`crash_tag`] with the distinguishing pid mapped through the canonical
-/// permutation of an orbit fingerprint, so two nodes that are images of
-/// each other under a class-preserving renaming carry equal tags. Sound
-/// because position-equal entries of two equal canonical fingerprints have
-/// equal (class, digest, extra) triples — the renaming that witnesses the
+/// must join the dedup key (`crash_allowed` consults exactly this). The
+/// distinguishing pid is mapped through the canonical permutation of an
+/// orbit fingerprint, so two nodes that are images of each other under a
+/// class-preserving renaming carry equal tags. Sound because
+/// position-equal entries of two equal canonical fingerprints have equal
+/// (class, digest, extra) triples — the renaming that witnesses the
 /// fingerprint match can always be chosen to align the tagged pids.
 fn canon_crash_tag(path: &[Choice], canon_of: &[usize]) -> u64 {
     match path.last() {
@@ -1234,12 +1176,9 @@ struct Explorer<'a, D: FdValue, F: FnMut(FrontierJob)> {
     visited: Option<VisitedTable>,
     fps: Footprints,
     frontier: Option<F>,
-    /// The orbit class of every process (identity classes when symmetry is
-    /// off or the orbit is trivial).
+    /// The orbit class of every process (identity classes under a trivial
+    /// orbit).
     class_of: Vec<u32>,
-    /// Whether the symmetry reduction can do anything here: `cfg.symmetry`
-    /// with a non-trivial certified orbit.
-    sym_active: bool,
 }
 
 impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
@@ -1257,11 +1196,11 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             violations: Vec::new(),
             path: path.to_vec(),
             cursor: Cursor::at_path(cfg, path, picks),
-            visited: (cfg.dedup && turbo_active(cfg)).then(VisitedTable::new),
+            visited: (cfg.reduction == Reduction::Dedup && turbo_active(cfg))
+                .then(VisitedTable::new),
             fps: Footprints::new(),
             frontier,
             class_of: cfg.orbit.class_of(cfg.n_plus_1),
-            sym_active: cfg.symmetry && !cfg.orbit.is_trivial(),
         }
     }
 
@@ -1269,73 +1208,57 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
         self.stats.nodes >= self.cfg.max_nodes || self.violations.len() >= self.cfg.max_violations
     }
 
-    /// The dedup key: the canonical state fingerprint joined with everything
-    /// *else* that steers the subtree — the unserved pick suffixes (served
-    /// picks are already baked into the state), the spent fault budget, the
-    /// crash times (specs may read them) and the path-shape crash tag.
+    /// The dedup key: the orbit-canonical state fingerprint joined with
+    /// everything *else* that steers the subtree — the unserved pick
+    /// suffixes (served picks are already baked into the state), the spent
+    /// fault budget, the crash times (specs may read them) and the
+    /// path-shape crash tag.
     ///
-    /// With the symmetry reduction active the key is computed up to
-    /// within-class process renaming: the per-process extras (pick suffix
-    /// plus crash time) ride inside the orbit-canonical fingerprint instead
-    /// of being hashed in pid order, the crash tag's pid is mapped through
+    /// The key is computed up to within-class process renaming: the
+    /// per-process extras (pick suffix plus crash time) ride inside the
+    /// orbit-canonical fingerprint, the crash tag's pid is mapped through
     /// the canonicalizing permutation, and that permutation is returned so
     /// [`Explorer::visit`] can canonicalize the sleep set the same way.
-    fn dedup_key(&self, picks: &[Vec<u32>]) -> (u64, Option<Vec<usize>>) {
-        let run = self.cursor.run();
-        let n = self.cfg.n_plus_1;
-        let qcounts = self.cursor.query_counts();
-        // An explicit 0 and a missing entry play the same candidate:
-        // strip trailing zeros so the two key identically.
-        let suffix_of = |i: usize| -> &[u32] {
-            let suffix = picks
-                .get(i)
-                .map(|v| v.get(qcounts[i] as usize..).unwrap_or(&[]))
-                .unwrap_or(&[]);
-            match suffix.iter().rposition(|&x| x != 0) {
-                Some(last) => &suffix[..=last],
-                None => &[],
-            }
+    /// Under a trivial orbit the classes are the pids, so the permutation
+    /// is the identity and the key is the pid-order one.
+    fn dedup_key(&self, picks: &[Vec<u32>]) -> (u64, Vec<usize>) {
+        let Cursor::Turbo(cursor) = &self.cursor else {
+            unreachable!("the visited table exists only under the turbo cursor");
         };
-        if self.sym_active {
-            let extra: Vec<u64> = (0..n)
-                .map(|i| {
-                    let mut e = FnvWrite::new();
-                    e.write_u64(0x51);
-                    for &x in suffix_of(i) {
-                        e.write_u64(u64::from(x) + 1);
-                    }
-                    e.write_u64(match run.crash_observed(ProcessId(i)) {
-                        Some(t) => t.0 + 1,
-                        None => 0,
-                    });
-                    e.finish()
-                })
-                .collect();
-            let ofp = self.cursor.orbit_fingerprint(&self.class_of, &extra);
-            let mut h = FnvWrite::new();
-            h.write_u64(ofp.fingerprint);
-            h.write_u64(faults_in(&self.path) as u64);
-            h.write_u64(canon_crash_tag(&self.path, &ofp.canon_of));
-            (h.finish(), Some(ofp.canon_of))
-        } else {
-            let mut h = FnvWrite::new();
-            h.write_u64(self.cursor.fingerprint());
-            for i in 0..n {
-                h.write_u64(0x51);
-                for &x in suffix_of(i) {
-                    h.write_u64(u64::from(x) + 1);
+        let session = &cursor.session;
+        let run = session.run();
+        let qcounts = session.query_counts();
+        let extra: Vec<u64> = (0..self.cfg.n_plus_1)
+            .map(|i| {
+                // An explicit 0 and a missing entry play the same
+                // candidate: strip trailing zeros so the two key
+                // identically.
+                let suffix = picks
+                    .get(i)
+                    .map(|v| v.get(qcounts[i] as usize..).unwrap_or(&[]))
+                    .unwrap_or(&[]);
+                let suffix = match suffix.iter().rposition(|&x| x != 0) {
+                    Some(last) => &suffix[..=last],
+                    None => &[],
+                };
+                let mut e = FnvWrite::new();
+                e.write_u64(0x51);
+                for &x in suffix {
+                    e.write_u64(u64::from(x) + 1);
                 }
-            }
-            h.write_u64(faults_in(&self.path) as u64);
-            h.write_u64(crash_tag(&self.path));
-            for i in 0..n {
-                h.write_u64(match run.crash_observed(ProcessId(i)) {
+                e.write_u64(match run.crash_observed(ProcessId(i)) {
                     Some(t) => t.0 + 1,
                     None => 0,
                 });
-            }
-            (h.finish(), None)
-        }
+                e.finish()
+            })
+            .collect();
+        let ofp = session.orbit_fingerprint(&self.class_of, &extra);
+        let mut h = FnvWrite::new();
+        h.write_u64(ofp.fingerprint);
+        h.write_u64(faults_in(&self.path) as u64);
+        h.write_u64(canon_crash_tag(&self.path, &ofp.canon_of));
+        (h.finish(), ofp.canon_of)
     }
 
     /// Executes specs on the node the cursor sits at; on violation, records
@@ -1374,18 +1297,15 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
         let remaining = self.cfg.depth - steps_used;
         let dedup_key = match &self.visited {
             Some(visited) => {
-                let (key, canon) = self.dedup_key(picks);
+                let (key, canon_of) = self.dedup_key(picks);
                 // Sleep entries are compared (and stored) with their pids
                 // mapped through the canonical permutation, so symmetric
-                // nodes agree on the comparison as well as the key. Without
-                // a permutation the sleep set is compared as it is.
-                let canon_sleep: Option<SleepSet> = canon.map(|canon_of| {
-                    sleep
-                        .iter()
-                        .map(|&(q, f)| (ProcessId(canon_of[q.index()]), f))
-                        .collect()
-                });
-                if visited.seen(key, remaining, canon_sleep.as_deref().unwrap_or(&sleep)) {
+                // nodes agree on the comparison as well as the key.
+                let canon_sleep: SleepSet = sleep
+                    .iter()
+                    .map(|&(q, f)| (ProcessId(canon_of[q.index()]), f))
+                    .collect();
+                if visited.seen(key, remaining, &canon_sleep) {
                     self.stats.dedup_pruned += 1;
                     return;
                 }
@@ -1394,15 +1314,13 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             None => None,
         };
         let violations_before = self.violations.len();
-        let sleep_len = sleep.len();
         self.expand(picks, &mut sleep, steps_used);
         if let Some((key, canon_sleep)) = dedup_key {
             if !self.stats.truncated && self.violations.len() == violations_before {
-                sleep.truncate(sleep_len);
                 self.visited
                     .as_mut()
                     .expect("a dedup key implies a visited table")
-                    .insert(key, remaining, canon_sleep.as_deref().unwrap_or(&sleep));
+                    .insert(key, remaining, &canon_sleep);
             }
         }
     }
@@ -1430,21 +1348,20 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             // (the canonical-representative rule admits more than one crash
             // only at the empty path or after an all-crash prefix), so
             // crashing any of them yields π-isomorphic subtrees. Keep one
-            // representative per class.
+            // representative per class (every process, under the trivial
+            // orbit's identity classes).
             let mut crash_classes_seen: Vec<u32> = Vec::new();
             for i in 0..self.cfg.n_plus_1 {
                 let p = ProcessId(i);
                 if crashed_in(&self.path, p) || !crash_allowed(&self.path, p) {
                     continue;
                 }
-                if self.sym_active {
-                    let class = self.class_of[i];
-                    if crash_classes_seen.contains(&class) {
-                        self.stats.symmetry_pruned += 1;
-                        continue;
-                    }
-                    crash_classes_seen.push(class);
+                let class = self.class_of[i];
+                if crash_classes_seen.contains(&class) {
+                    self.stats.symmetry_pruned += 1;
+                    continue;
                 }
+                crash_classes_seen.push(class);
                 if self.over_budget() {
                     self.stats.truncated = true;
                     return;
@@ -1463,7 +1380,7 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             if !self.participants[i] || crashed_in(&self.path, p) || finished[i] {
                 continue;
             }
-            if self.cfg.reduction && sleep.iter().any(|(q, _)| *q == p) {
+            if self.cfg.reduction >= Reduction::Sleep && sleep.iter().any(|(q, _)| *q == p) {
                 self.stats.sleep_pruned += 1;
                 continue;
             }
@@ -1489,22 +1406,17 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             // Sibling branches for the unexplored detector candidates.
             if let Some(rec) = query {
                 debug_assert_eq!(rec.pid, p);
-                // Symmetry reduction: a menu may offer the same candidate
-                // value more than once (e.g. `{p} ∪ Π` when `p ∈ Π`); equal
-                // values produce value-identical runs, so explore the first
-                // occurrence only. The menu contract (deterministic,
+                // A menu may offer the same candidate value more than once
+                // (e.g. `{p} ∪ Π` when `p ∈ Π`); equal values produce
+                // value-identical runs, so explore the first occurrence
+                // only. The menu contract (deterministic,
                 // schedule-independent) makes this re-fetch safe.
-                let menu_cands = self
-                    .cfg
-                    .symmetry
-                    .then(|| self.cfg.menu.candidates(p, rec.k as usize));
+                let cands = self.cfg.menu.candidates(p, rec.k as usize);
                 for j in 1..rec.candidates {
-                    if let Some(cands) = &menu_cands {
-                        let ju = j as usize;
-                        if ju < cands.len() && cands[..ju].iter().any(|c| *c == cands[ju]) {
-                            self.stats.symmetry_pruned += 1;
-                            continue;
-                        }
+                    let ju = j as usize;
+                    if ju < cands.len() && cands[..ju].contains(&cands[ju]) {
+                        self.stats.symmetry_pruned += 1;
+                        continue;
                     }
                     let mut vpicks = picks.to_vec();
                     vpicks[i].resize(rec.k as usize, 0);
@@ -1524,7 +1436,7 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             }
             self.cursor.pop();
             self.path.pop();
-            if self.cfg.reduction {
+            if self.cfg.reduction >= Reduction::Sleep {
                 sleep.push((p, fp));
             }
         }

@@ -37,7 +37,7 @@ pub mod samples;
 pub use explore::{
     check, path_of_token, replay_token, run_token, shrink_violation, token_of, violation_of,
     AlgoFactory, CheckConfig, CheckReport, CheckStats, Choice, CounterExample, Exec, Footprint,
-    ReplayOutcome, ShrinkResult,
+    Reduction, ReplayOutcome, ShrinkResult,
 };
 pub use menu::{ConstantMenu, FdMenu, FnMenu, MenuOracle, MutatingMenu, QueryRecord};
 

@@ -2,11 +2,11 @@
 //! canonicalization bounds, counterexample shrinking and dual-engine token
 //! replay.
 
-use upsilon_check::{check, replay_token, samples, CheckConfig, ReplayToken};
+use upsilon_check::{check, replay_token, samples, CheckConfig, Reduction, ReplayToken};
 use upsilon_sim::{EngineKind, FdValue};
 
 fn naive<D: FdValue>(mut cfg: CheckConfig<D>) -> CheckConfig<D> {
-    cfg.reduction = false;
+    cfg.reduction = Reduction::None;
     cfg
 }
 

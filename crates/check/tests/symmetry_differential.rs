@@ -1,32 +1,34 @@
 //! Differential soundness suite for the process-symmetry reduction: over
 //! the whole sample portfolio, exploring *up to process renaming* must
-//! change how much work the search does — never what it answers.
+//! change how much work the search does — never what it answers. The
+//! reduction follows the configuration's certified orbit, so "off" is the
+//! same configuration under `Orbit::Trivial`; both sides run with
+//! `Reduction::Dedup`, where the orbit-canonical key does its work.
 //!
 //! Locked invariants:
 //!
-//! * **verdict and token preservation** — symmetry on vs off produce
-//!   `assert_eq!`-identical violation lists (including the shrunk `UCHK1:`
-//!   replay tokens) and the same clean/dirty verdict, serial and at
-//!   workers 1/2/8;
-//! * **trivial orbits are the identity** — samples whose constructors the
-//!   static audit could not certify (`Orbit::Trivial`) produce reports
-//!   that are byte-identical with symmetry on and off, counters included;
-//! * **determinism** — with symmetry on, the report is `assert_eq!`-equal
-//!   at every worker count;
+//! * **verdict and token preservation** — the certified orbit vs the
+//!   trivial one produce `assert_eq!`-identical violation lists (including
+//!   the shrunk `UCHK1:` replay tokens) and the same clean/dirty verdict,
+//!   serial and at workers 1/2/8;
+//! * **determinism** — under the certified orbit, the report is
+//!   `assert_eq!`-equal at every worker count;
 //! * **non-vacuity** — on certified-symmetric samples the reduction
 //!   actually fires: `pinned_upsilon` collapses same-class crash
 //!   injections, and `stable_report` (the fully symmetric write-race
 //!   benchmark) explores at most half the states of the unreduced search.
 
-use upsilon_check::{check, samples, CheckConfig, CheckReport};
+use upsilon_check::{check, samples, CheckConfig, CheckReport, Reduction};
 use upsilon_sim::symmetry::Orbit;
 use upsilon_sim::FdValue;
 
+/// Builds the report for one portfolio entry under a config transform,
+/// with fingerprint dedup on.
 fn run_with<D: FdValue>(
     cfg: CheckConfig<D>,
     vary: impl FnOnce(CheckConfig<D>) -> CheckConfig<D>,
 ) -> CheckReport {
-    check(&vary(cfg))
+    check(&vary(cfg.reduction(Reduction::Dedup)))
 }
 
 /// The full portfolio — clean and buggy, crash-free and crash-injecting,
@@ -82,8 +84,8 @@ macro_rules! for_each_sample {
 #[test]
 fn symmetry_preserves_verdicts_and_tokens_serial() {
     for_each_sample!(name, cfg, {
-        let off = run_with(cfg.clone(), |c| c.symmetry(false));
-        let on = run_with(cfg, |c| c.symmetry(true));
+        let off = run_with(cfg.clone(), |c| c.orbit(Orbit::Trivial));
+        let on = run_with(cfg, |c| c);
         assert_eq!(
             off.violations, on.violations,
             "{name}: symmetry changed a verdict or a shrunk token"
@@ -102,8 +104,10 @@ fn symmetry_preserves_verdicts_and_tokens_serial() {
 fn symmetry_preserves_verdicts_at_every_worker_count() {
     for workers in [1usize, 2, 8] {
         for_each_sample!(name, cfg, {
-            let off = run_with(cfg.clone(), |c| c.symmetry(false).parallel(2, workers));
-            let on = run_with(cfg, |c| c.symmetry(true).parallel(2, workers));
+            let off = run_with(cfg.clone(), |c| {
+                c.orbit(Orbit::Trivial).parallel(2, workers)
+            });
+            let on = run_with(cfg, |c| c.parallel(2, workers));
             assert_eq!(
                 off.violations, on.violations,
                 "{name}: symmetry changed a verdict or token at {workers} workers"
@@ -120,25 +124,10 @@ fn symmetry_preserves_verdicts_at_every_worker_count() {
 #[test]
 fn symmetric_reports_are_identical_across_worker_counts() {
     for_each_sample!(name, cfg, {
-        let at = |workers: usize| run_with(cfg.clone(), |c| c.symmetry(true).parallel(2, workers));
+        let at = |workers: usize| run_with(cfg.clone(), |c| c.parallel(2, workers));
         let one = at(1);
         assert_eq!(one, at(2), "{name}: workers 1 vs 2 under symmetry");
         assert_eq!(one, at(8), "{name}: workers 1 vs 8 under symmetry");
-    });
-}
-
-#[test]
-fn trivial_orbits_make_symmetry_the_identity() {
-    for_each_sample!(name, cfg, {
-        if cfg.orbit.is_trivial() {
-            let off = run_with(cfg.clone(), |c| c.symmetry(false));
-            let on = run_with(cfg, |c| c.symmetry(true));
-            // One caveat: duplicate FD-candidate collapse is value-based
-            // and orbit-independent, so it may fire even on trivial
-            // orbits. None of the portfolio menus repeat a candidate, so
-            // here the reports must be byte-identical.
-            assert_eq!(on, off, "{name}: trivial orbit must be a no-op");
-        }
     });
 }
 
@@ -153,8 +142,8 @@ fn certified_orbits_are_wired_into_the_portfolio() {
 #[test]
 fn crash_collapse_fires_on_pinned_upsilon() {
     let cfg = samples::pinned_upsilon(3, 1, 4);
-    let off = run_with(cfg.clone(), |c| c.symmetry(false));
-    let on = run_with(cfg, |c| c.symmetry(true));
+    let off = run_with(cfg.clone(), |c| c.orbit(Orbit::Trivial));
+    let on = run_with(cfg, |c| c);
     assert!(
         on.stats.symmetry_pruned > 0,
         "same-class crash candidates must collapse: {:?}",
@@ -175,8 +164,8 @@ fn crash_collapse_fires_on_pinned_upsilon() {
 #[test]
 fn stable_report_reduces_states_at_least_2x() {
     let cfg = samples::stable_report(3, 2, 8);
-    let off = run_with(cfg.clone(), |c| c.symmetry(false));
-    let on = run_with(cfg, |c| c.symmetry(true));
+    let off = run_with(cfg.clone(), |c| c.orbit(Orbit::Trivial));
+    let on = run_with(cfg, |c| c);
     assert_eq!(off.violations, on.violations);
     assert!(off.ok() && on.ok(), "stable-report explores clean");
     assert!(

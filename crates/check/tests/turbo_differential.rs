@@ -8,16 +8,16 @@
 //!   replay-from-root; byte-identical `CheckReport`s (stats, verdicts, and
 //!   shrunk `UCHK1` tokens alike), since turbo changes only *how* nodes
 //!   are executed, never which nodes exist;
-//! * **dedup on vs off** — fingerprint pruning may only *remove* explored
-//!   nodes (`nodes` + `dedup_pruned` conserved against the un-deduped
-//!   count on crash-free configs), and must preserve every verdict and
+//! * **`Reduction::Sleep` vs `Reduction::Dedup`** — fingerprint pruning
+//!   may only *remove* explored nodes, and must preserve every verdict and
 //!   every minimized counterexample token;
 //! * **worker count 1 vs 2 vs 8** — the work-stealing frontier merges by
 //!   coordinate, so reports are `assert_eq!`-identical whatever the
 //!   parallelism, with and without dedup.
 
-use upsilon_check::{check, samples, CheckConfig, CheckReport};
+use upsilon_check::{check, samples, CheckConfig, CheckReport, Reduction};
 
+use upsilon_sim::symmetry::Orbit;
 use upsilon_sim::FdValue;
 
 /// Builds the report for one portfolio entry under a config transform.
@@ -75,14 +75,20 @@ macro_rules! for_each_sample {
         let $name = "fig1 n2 d7 clean";
         let $cfg = samples::fig1(2, 7, 0);
         $body
+    }
+    {
+        // The check-paper mutating-detector recipe at n+1 = 3.
+        let $name = "fig1-mutating n3 d7 budget 1";
+        let $cfg = samples::fig1_mutating(3, 7, 0, 1);
+        $body
     }};
 }
 
 #[test]
 fn turbo_and_stateless_reports_are_identical() {
     for_each_sample!(name, cfg, {
-        let turbo = run_with(cfg.clone(), |c| c.turbo(true).dedup(false));
-        let stateless = run_with(cfg, |c| c.turbo(false).dedup(false));
+        let turbo = run_with(cfg.clone(), |c| c.turbo(true).reduction(Reduction::Sleep));
+        let stateless = run_with(cfg, |c| c.turbo(false).reduction(Reduction::Sleep));
         assert_eq!(turbo, stateless, "{name}: turbo vs stateless diverged");
     });
 }
@@ -90,8 +96,8 @@ fn turbo_and_stateless_reports_are_identical() {
 #[test]
 fn dedup_preserves_verdicts_and_tokens() {
     for_each_sample!(name, cfg, {
-        let base = run_with(cfg.clone(), |c| c.turbo(true).dedup(false));
-        let dedup = run_with(cfg, |c| c.turbo(true).dedup(true));
+        let base = run_with(cfg.clone(), |c| c.turbo(true).reduction(Reduction::Sleep));
+        let dedup = run_with(cfg, |c| c.turbo(true).reduction(Reduction::Dedup));
         assert_eq!(
             base.violations, dedup.violations,
             "{name}: dedup changed a verdict or a shrunk token"
@@ -113,8 +119,8 @@ fn dedup_actually_prunes_somewhere() {
     let mut pruned_total = 0;
     let mut saved_total = 0i64;
     for_each_sample!(_name, cfg, {
-        let base = run_with(cfg.clone(), |c| c.turbo(true).dedup(false));
-        let dedup = run_with(cfg, |c| c.turbo(true).dedup(true));
+        let base = run_with(cfg.clone(), |c| c.turbo(true).reduction(Reduction::Sleep));
+        let dedup = run_with(cfg, |c| c.turbo(true).reduction(Reduction::Dedup));
         pruned_total += dedup.stats.dedup_pruned;
         saved_total += base.stats.nodes as i64 - dedup.stats.nodes as i64;
     });
@@ -124,13 +130,14 @@ fn dedup_actually_prunes_somewhere() {
 
 #[test]
 fn worker_sweep_reports_are_assert_eq_identical() {
-    for dedup in [false, true] {
+    for reduction in [Reduction::Sleep, Reduction::Dedup] {
         for_each_sample!(name, cfg, {
-            let at =
-                |workers: usize| run_with(cfg.clone(), |c| c.dedup(dedup).parallel(2, workers));
+            let at = |workers: usize| {
+                run_with(cfg.clone(), |c| c.reduction(reduction).parallel(2, workers))
+            };
             let one = at(1);
-            assert_eq!(one, at(2), "{name}: workers 1 vs 2 (dedup={dedup})");
-            assert_eq!(one, at(8), "{name}: workers 1 vs 8 (dedup={dedup})");
+            assert_eq!(one, at(2), "{name}: workers 1 vs 2 ({reduction:?})");
+            assert_eq!(one, at(8), "{name}: workers 1 vs 8 ({reduction:?})");
         });
     }
 }
@@ -142,8 +149,10 @@ fn split_exploration_matches_serial() {
         // search keeps one global fingerprint table while every frontier
         // job starts its own, so pruning opportunities differ (soundly) in
         // the split run.
-        let serial = run_with(cfg.clone(), |c| c.dedup(false));
-        let split = run_with(cfg.clone(), |c| c.dedup(false).parallel(2, 8));
+        let serial = run_with(cfg.clone(), |c| c.reduction(Reduction::Sleep));
+        let split = run_with(cfg.clone(), |c| {
+            c.reduction(Reduction::Sleep).parallel(2, 8)
+        });
         assert_eq!(
             serial.stats, split.stats,
             "{name}: split changed the search counters"
@@ -152,9 +161,9 @@ fn split_exploration_matches_serial() {
             serial.violations, split.violations,
             "{name}: split changed a verdict or token"
         );
-        // Under the shipping defaults (dedup on) the *answers* still agree.
-        let serial = run_with(cfg.clone(), |c| c);
-        let split = run_with(cfg, |c| c.parallel(2, 8));
+        // With dedup on the *answers* still agree.
+        let serial = run_with(cfg.clone(), |c| c.reduction(Reduction::Dedup));
+        let split = run_with(cfg, |c| c.reduction(Reduction::Dedup).parallel(2, 8));
         assert_eq!(
             serial.violations, split.violations,
             "{name}: split with dedup changed a verdict or token"
@@ -173,18 +182,19 @@ fn portfolio_reports_are_reproducible() {
     // entry agree (this is what makes the suite's other comparisons
     // meaningful rather than flaky).
     for_each_sample!(name, cfg, {
-        let a = run_with(cfg.clone(), |c| c);
-        let b = run_with(cfg, |c| c);
+        let a = run_with(cfg.clone(), |c| c.reduction(Reduction::Dedup));
+        let b = run_with(cfg, |c| c.reduction(Reduction::Dedup));
         assert_eq!(a, b, "{name}: non-deterministic report");
     });
 }
 
 #[test]
 fn disabled_reductions_keep_the_expected_verdicts() {
-    // The seeded commit bug is still found with dedup and symmetry off,
-    // and Fig. 1 still explores clean when every node replays from the root.
+    // The seeded commit bug is still found without dedup under the
+    // trivial orbit, and Fig. 1 still explores clean when every node
+    // replays from the root.
     let buggy = run_with(samples::snapshot_commit(2, 1, 9, true), |c| {
-        c.dedup(false).symmetry(false)
+        c.reduction(Reduction::Sleep).orbit(Orbit::Trivial)
     });
     assert!(!buggy.ok(), "commit-buggy n2 d9 lost its counterexample");
     let stateless = run_with(samples::fig1(2, 7, 0), |c| c.turbo(false));

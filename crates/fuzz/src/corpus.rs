@@ -1,101 +1,37 @@
 //! On-disk corpus persistence.
 //!
-//! A corpus directory holds one file per entry, named
-//! `<fnv64-of-token>.uchk1` and containing the `UCHK1:` encoding followed
-//! by a newline. Content-addressed names make saves idempotent and merges
-//! from parallel campaigns trivial (identical tokens collide into one
-//! file); loading sorts by filename so the read-back order is stable across
-//! filesystems.
-//!
-//! The store is crash-safe: an entry is written under a temporary name
-//! that does not end in `.uchk1` and renamed into place, so an interrupted
-//! save leaves at most a stray temporary file, which loading ignores. An
-//! entry whose content no longer hashes to its file name (renamed,
-//! truncated or edited) is rejected on load rather than silently seeding a
-//! campaign with a token nobody saved.
+//! A corpus directory is a [`store`] of `UCHK1:` tokens: one file per
+//! entry, named `<fnv64-of-token>.uchk1`. Saves are idempotent and
+//! crash-safe, loads sort by file name, and an entry whose content no
+//! longer hashes to its file name (renamed, truncated or edited) is
+//! rejected rather than silently seeding a campaign with a token nobody
+//! saved.
 
-use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use upsilon_sim::{Fnv64, ReplayToken};
+use upsilon_sim::{store, ReplayToken};
 
 /// The file extension of corpus entries.
 pub const CORPUS_EXT: &str = "uchk1";
 
-fn entry_name(token: &ReplayToken) -> String {
-    let mut h = Fnv64::new();
-    h.write(token.encode().as_bytes());
-    format!("{:016x}.{CORPUS_EXT}", h.finish())
-}
-
-/// Writes `token` into `dir` (created if missing), named by content hash.
-/// Re-saving an existing entry rewrites the same file. The content goes to
-/// a temporary file, is synced, and is renamed into place (the directory
-/// synced after), so a reader never sees a partial entry. Returns the path
-/// written.
+/// Writes `token` into `dir` (created if missing), named by content hash,
+/// through [`store::save_entry`]. Returns the path written.
 pub fn save_corpus_entry(dir: &Path, token: &ReplayToken) -> io::Result<PathBuf> {
-    // Distinct temporary names for concurrent savers, within a process
-    // (the counter) and across processes (the pid).
-    static SAVES: AtomicU64 = AtomicU64::new(0);
-    fs::create_dir_all(dir)?;
-    let name = entry_name(token);
-    let path = dir.join(&name);
-    let tmp = dir.join(format!(
-        ".{name}.{}-{}.tmp",
-        std::process::id(),
-        SAVES.fetch_add(1, Ordering::Relaxed)
-    ));
-    let mut file = fs::File::create(&tmp)?;
-    file.write_all(format!("{}\n", token.encode()).as_bytes())?;
-    file.sync_all()?;
-    fs::rename(&tmp, &path)?;
-    fs::File::open(dir)?.sync_all()?;
-    Ok(path)
+    store::save_entry(dir, CORPUS_EXT, &token.encode())
 }
 
-/// Loads every `.uchk1` entry in `dir`, sorted by filename. A missing
-/// directory is an empty corpus; other files (such as the temporary files
-/// of an interrupted save) are ignored. An unparsable entry, or one whose
-/// content does not hash to its file name, is an
-/// [`io::ErrorKind::InvalidData`] error naming the file.
+/// Loads every `.uchk1` entry in `dir`, sorted by filename, through
+/// [`store::load_entries`]: a missing directory is an empty corpus, and an
+/// unparsable entry, or one whose content does not hash to its file name,
+/// is an [`io::ErrorKind::InvalidData`] error naming the file.
 pub fn load_corpus(dir: &Path) -> io::Result<Vec<ReplayToken>> {
-    let mut names: Vec<PathBuf> = match fs::read_dir(dir) {
-        Ok(rd) => rd
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == CORPUS_EXT))
-            .collect(),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    names.sort();
-    names
-        .into_iter()
-        .map(|path| {
-            let invalid = |msg: String| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: {msg}", path.display()),
-                )
-            };
-            let text = fs::read_to_string(&path)?;
-            let token = ReplayToken::parse(&text).map_err(|e| invalid(e.to_string()))?;
-            let want = entry_name(&token);
-            if path.file_name().is_none_or(|n| n != want.as_str()) {
-                return Err(invalid(format!(
-                    "content hashes to {want}, not to the file name"
-                )));
-            }
-            Ok(token)
-        })
-        .collect()
+    store::load_entries(dir, CORPUS_EXT, ReplayToken::parse, ReplayToken::encode)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use upsilon_sim::{ProcessId, Time};
 
     fn sample(seed: u64) -> ReplayToken {

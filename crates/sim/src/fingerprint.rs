@@ -30,10 +30,11 @@
 //! the whole run: a [`Session`] recording at [`TraceLevel::Digest`] or
 //! above maintains the per-process digests and the memory sum as it steps
 //! (one `absorb_event` per step, one object term swapped) and combines the
-//! cached words per node. The from-scratch [`trace_fingerprint`] and
-//! [`orbit_trace_fingerprint`] remain the reference — the stateless
-//! cursor, swarm and the tests use them, and debug builds assert the
-//! session's words against them at every fingerprint. Absorbing an op
+//! cached words per node into the explorer's dedup key, the
+//! [`orbit_trace_fingerprint`] (pid order under identity classes). The
+//! from-scratch functions remain the reference — swarm and the tests use
+//! them, and debug builds assert the session's words against
+//! [`orbit_trace_fingerprint`] at every fingerprint. Absorbing an op
 //! event hashes its signature's raw bytes and its detail's one-word
 //! digest, so no step renders or re-reads text for the fingerprint.
 //!
@@ -165,11 +166,7 @@ fn status_of<D: FdValue>(run: &Run<D>, i: usize) -> [u8; 2] {
 
 /// Combines a memory digest and per-process event digests into the
 /// pid-order fingerprint (the outer layer of [`trace_fingerprint`]).
-pub(crate) fn combine<D: FdValue>(
-    run: &Run<D>,
-    memory64: u64,
-    digest_of: impl Fn(usize) -> u64,
-) -> u64 {
+fn combine<D: FdValue>(run: &Run<D>, memory64: u64, digest_of: impl Fn(usize) -> u64) -> u64 {
     let mut w = FnvWrite::new();
     w.write_u64(memory64);
     w.write_u64(run.n_plus_1() as u64);

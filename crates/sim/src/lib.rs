@@ -96,6 +96,7 @@ mod runtime;
 mod sched;
 mod session;
 mod steal;
+pub mod store;
 pub mod symmetry;
 mod time;
 mod trace;

@@ -29,9 +29,9 @@
 //!   and the touched object's term in the memory digest is swapped for its
 //!   new value. Fingerprinting a node then costs `O(n + 1)` instead of a
 //!   rehash of the whole path and every object; the from-scratch
-//!   [`trace_fingerprint`] stays the reference the cached words must equal
-//!   bit for bit. Sessions at [`TraceLevel::Steps`] keep no digests and
-//!   fingerprint from scratch.
+//!   [`orbit_trace_fingerprint`] stays the reference the cached words must
+//!   equal bit for bit. Sessions at [`TraceLevel::Steps`] keep no digests
+//!   and fingerprint from scratch.
 //!
 //! The restore contract mirrors the replay-token contract: the caller
 //! supplies a fresh [`Oracle`] positioned as it was at the save point
@@ -45,8 +45,7 @@ use crate::builder::AlgoFn;
 use crate::engine::{Engine as _, EngineShutdown, InlineEngine, ProcStatus};
 use crate::failure::FailurePattern;
 use crate::fingerprint::{
-    absorb_event, combine, combine_orbit, orbit_trace_fingerprint, trace_fingerprint, FnvWrite,
-    OrbitFingerprint,
+    absorb_event, combine_orbit, orbit_trace_fingerprint, FnvWrite, OrbitFingerprint,
 };
 use crate::object::{Access, Memory};
 use crate::oracle::{FdValue, Oracle};
@@ -146,8 +145,8 @@ pub struct Session<D: FdValue> {
     digests: Option<Digests>,
 }
 
-/// The words [`trace_fingerprint`] is combined from, maintained as the
-/// session steps instead of being recomputed from the whole run.
+/// The words [`orbit_trace_fingerprint`] is combined from, maintained as
+/// the session steps instead of being recomputed from the whole run.
 struct Digests {
     /// Each process's streaming digest over its own events so far.
     procs: Vec<FnvWrite>,
@@ -311,22 +310,10 @@ impl<D: FdValue> Session<D> {
         &self.query_counts
     }
 
-    /// The canonical fingerprint of the current run prefix (see
-    /// [`trace_fingerprint`]): combined from the running digests at
-    /// [`TraceLevel::Digest`] and above, computed from scratch otherwise.
-    pub fn fingerprint(&self) -> u64 {
-        let reference = || self.with_memory(|memory| trace_fingerprint(&self.run, memory));
-        let Some(d) = &self.digests else {
-            return reference();
-        };
-        let fp = combine(&self.run, d.memory64, |i| d.procs[i].finish());
-        debug_assert_eq!(fp, reference(), "incremental fingerprint drifted");
-        fp
-    }
-
     /// The orbit-canonical fingerprint of the current run prefix (see
-    /// [`orbit_trace_fingerprint`]), from the running digests at
-    /// [`TraceLevel::Digest`] and above like [`Session::fingerprint`].
+    /// [`orbit_trace_fingerprint`]): combined from the running digests at
+    /// [`TraceLevel::Digest`] and above, computed from scratch otherwise.
+    /// Identity classes (`class_of[i] = i`) give the pid-order fingerprint.
     pub fn orbit_fingerprint(&self, class_of: &[u32], extra: &[u64]) -> OrbitFingerprint {
         let reference = || {
             self.with_memory(|memory| orbit_trace_fingerprint(&self.run, memory, class_of, extra))

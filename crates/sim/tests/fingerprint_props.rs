@@ -21,9 +21,10 @@
 //! responses must be part of the per-process digests for the control-state
 //! proxy to be sound, and both `Full` and the checker's dedup level
 //! [`TraceLevel::Digest`] capture them. **Level independence** ties the two
-//! together: a `Digest` run, the same schedule at `Full`, and a `Digest`
-//! [`Session`](upsilon_sim::Session) stepped through it all carry one
-//! fingerprint.
+//! together: a `Digest` run and the same schedule at `Full` carry one
+//! fingerprint, and a `Digest` [`Session`](upsilon_sim::Session) stepped
+//! through it carries the run's orbit fingerprint under identity classes
+//! (the pid-order form the checker keys dedup with).
 
 //! The orbit-canonical variant ([`orbit_trace_fingerprint`]) adds the
 //! symmetry contract on top:
@@ -43,7 +44,7 @@ use std::sync::Arc;
 use upsilon_sim::{
     algo, orbit_trace_fingerprint, trace_fingerprint, Access, EngineKind, FailurePattern, Key,
     NullOracle, ObjectType, OrbitFingerprint, ProcessId, RoundRobin, Scripted, Session,
-    SessionAlgos, SimBuilder, TraceLevel,
+    SessionAlgos, SimBuilder, SimOutcome, TraceLevel,
 };
 
 /// A one-value register; `Write` overwrites, `Read` returns the content.
@@ -123,6 +124,19 @@ fn fingerprint_at(
     level: TraceLevel,
     sigs: bool,
 ) -> u64 {
+    let outcome = outcome_at(n, plans, script, engine, level, sigs);
+    trace_fingerprint(&outcome.run, &outcome.memory)
+}
+
+/// The run behind [`fingerprint_at`].
+fn outcome_at(
+    n: usize,
+    plans: &[Vec<PlannedOp>],
+    script: &[usize],
+    engine: EngineKind,
+    level: TraceLevel,
+    sigs: bool,
+) -> SimOutcome<()> {
     let script: Vec<ProcessId> = script.iter().map(|&i| ProcessId(i)).collect();
     let mut builder = SimBuilder::<()>::new(FailurePattern::failure_free(n))
         .adversary(Scripted::then(script, RoundRobin::new()))
@@ -135,8 +149,7 @@ fn fingerprint_at(
             builder = builder.spawn(ProcessId(i), a);
         }
     }
-    let outcome = builder.run();
-    trace_fingerprint(&outcome.run, &outcome.memory)
+    builder.run()
 }
 
 /// Like [`fingerprint_of`], but returns the orbit-canonical fingerprint
@@ -374,7 +387,8 @@ proptest! {
     /// shared registers, so responses differ across schedules. Recording
     /// a schedule at `Digest` or at `Full` — with or without op signatures
     /// — gives one fingerprint, and a `Digest` session stepped through the
-    /// same schedule carries it incrementally.
+    /// same schedule carries the run's identity-class orbit fingerprint
+    /// incrementally.
     #[test]
     fn digest_and_full_levels_fingerprint_identically(
         plans in proptest::collection::vec(
@@ -387,7 +401,8 @@ proptest! {
         let quotas: Vec<usize> = plans.iter().map(Vec::len).collect();
         let script = interleave_n(&quotas, &picks);
         let at = |level| fingerprint_at(3, &plans, &script, EngineKind::Inline, level, sigs);
-        let digest = at(TraceLevel::Digest);
+        let digest_run = outcome_at(3, &plans, &script, EngineKind::Inline, TraceLevel::Digest, sigs);
+        let digest = trace_fingerprint(&digest_run.run, &digest_run.memory);
         prop_assert_eq!(digest, at(TraceLevel::Full));
         let mut session = Session::new(
             FailurePattern::failure_free(3),
@@ -399,7 +414,11 @@ proptest! {
         for &i in &script {
             session.step(ProcessId(i));
         }
-        prop_assert_eq!(session.fingerprint(), digest);
+        let (identity, zeros) = ([0, 1, 2], [0; 3]);
+        prop_assert_eq!(
+            session.orbit_fingerprint(&identity, &zeros),
+            orbit_trace_fingerprint(&digest_run.run, &digest_run.memory, &identity, &zeros)
+        );
     }
 
     /// Both engines produce the same fingerprint for the same script —

@@ -117,7 +117,15 @@ fn drive(session: &mut Session<()>, grants: &[usize]) {
 fn observed(session: &Session<()>, rounds: usize) -> (String, u64) {
     let n = session.n_plus_1();
     let reference = session.with_memory(|memory| trace_fingerprint(session.run(), memory));
-    assert_eq!(session.fingerprint(), reference);
+    // Identity classes: the pid-order form of the orbit fingerprint.
+    let identity: Vec<u32> = (0..n as u32).collect();
+    let zeros = vec![0u64; n];
+    assert_eq!(
+        session.orbit_fingerprint(&identity, &zeros),
+        session.with_memory(|memory| {
+            orbit_trace_fingerprint(session.run(), memory, &identity, &zeros)
+        })
+    );
     let run = session.run();
     let mut full = SimBuilder::<()>::new(run.pattern().clone())
         .adversary(Scripted::new(run.schedule()))

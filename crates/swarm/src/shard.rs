@@ -3,17 +3,17 @@
 //! A campaign too large for one process is split into contiguous index
 //! ranges, each run by a separate `upsilon-swarm shard` invocation. Every
 //! shard writes one [`ShardRecord`] — campaign identity, its range and
-//! its [`SwarmReport`] — into a shared store directory, named
+//! its [`SwarmReport`] — into a shared [`store`] directory, named
 //! `<fnv64-of-payload>.uswm1` exactly like the fuzz corpus: saves are
-//! idempotent (a re-run shard rewrites the same file), loads sort by
-//! filename, and [`merge_records`] refuses to sum shards unless their
+//! idempotent (a re-run shard rewrites the same file) and crash-safe,
+//! loads sort by filename and reject a record whose content does not hash
+//! to its name, and [`merge_records`] refuses to sum shards unless their
 //! ranges partition the campaign and their campaign identities agree.
 
 use crate::executor::SwarmReport;
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use upsilon_sim::Fnv64;
+use upsilon_sim::store;
 
 /// The file extension of shard records.
 pub const SHARD_EXT: &str = "uswm1";
@@ -134,49 +134,19 @@ impl ShardRecord {
     }
 }
 
-fn record_name(record: &ShardRecord) -> String {
-    let mut h = Fnv64::new();
-    h.write(record.encode().as_bytes());
-    format!("{:016x}.{SHARD_EXT}", h.finish())
-}
-
-/// Writes `record` into `dir` (created if missing), named by content hash.
-/// Re-saving an identical record rewrites the same file. Returns the path
-/// written.
+/// Writes `record` into `dir` (created if missing), named by content hash,
+/// through [`store::save_entry`]. Re-saving an identical record rewrites
+/// the same file. Returns the path written.
 pub fn save_record(dir: &Path, record: &ShardRecord) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(record_name(record));
-    fs::write(&path, format!("{}\n", record.encode()))?;
-    Ok(path)
+    store::save_entry(dir, SHARD_EXT, &record.encode())
 }
 
-/// Loads every `.uswm1` record in `dir`, sorted by filename. A missing
-/// directory is an empty store; an unparsable record is an
-/// [`io::ErrorKind::InvalidData`] error naming the file.
+/// Loads every `.uswm1` record in `dir`, sorted by filename, through
+/// [`store::load_entries`]. A missing directory is an empty store; an
+/// unparsable record, or one whose content does not hash to its file
+/// name, is an [`io::ErrorKind::InvalidData`] error naming the file.
 pub fn load_records(dir: &Path) -> io::Result<Vec<ShardRecord>> {
-    let mut names: Vec<PathBuf> = match fs::read_dir(dir) {
-        Ok(rd) => rd
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == SHARD_EXT))
-            .collect(),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    names.sort();
-    names
-        .into_iter()
-        .map(|path| {
-            let text = fs::read_to_string(&path)?;
-            ShardRecord::parse(&text).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: {e}", path.display()),
-                )
-            })
-        })
-        .collect()
+    store::load_entries(dir, SHARD_EXT, ShardRecord::parse, ShardRecord::encode)
 }
 
 /// Merges shard records of one campaign into its aggregate report.
@@ -248,6 +218,7 @@ pub fn merge_records(records: &[ShardRecord]) -> Result<SwarmReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn rec(lo: u64, hi: u64, shards: u64, idx: u64) -> ShardRecord {
         ShardRecord {
@@ -293,6 +264,57 @@ mod tests {
         let loaded = load_records(&dir).expect("load");
         assert_eq!(loaded.len(), 2);
         assert!(loaded.contains(&a) && loaded.contains(&b));
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A fresh, empty scratch directory for one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("upsilon-swarm-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn renamed_record_is_invalid_data_naming_the_file() {
+        let dir = scratch("renamed");
+        let saved = save_record(&dir, &rec(0, 50, 2, 0)).expect("save");
+        let moved = dir.join(format!("{:016x}.{SHARD_EXT}", 0x1234u64));
+        fs::rename(&saved, &moved).expect("rename");
+        let err = load_records(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("0000000000001234.uswm1"), "{err}");
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn torn_record_is_invalid_data_naming_the_file() {
+        let dir = scratch("torn");
+        let saved = save_record(&dir, &rec(0, 50, 2, 0)).expect("save");
+        // Dropping the last field of a torn write still parses when the
+        // field is a digit short; only the content hash tells the two
+        // apart.
+        let text = fs::read_to_string(&saved).expect("read");
+        let cut = text.trim_end().strip_suffix('0').expect("finished=50");
+        assert!(ShardRecord::parse(cut).is_ok(), "the cut is a valid record");
+        fs::write(&saved, format!("{cut}\n")).expect("write");
+        let err = load_records(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let name = saved.file_name().and_then(|n| n.to_str()).expect("name");
+        assert!(err.to_string().contains(name), "{err}");
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn leftover_temp_file_is_ignored() {
+        let dir = scratch("leftover");
+        let a = rec(0, 50, 2, 0);
+        let saved = save_record(&dir, &a).expect("save");
+        let entries = fs::read_dir(&dir).expect("list").count();
+        assert_eq!(entries, 1, "the save leaves no temporary file behind");
+        // What an interrupted save leaves: a partial temporary file.
+        let name = saved.file_name().and_then(|n| n.to_str()).expect("name");
+        fs::write(dir.join(format!(".{name}.1-0.tmp")), "USWM1: mix=").expect("write");
+        assert_eq!(load_records(&dir).expect("load"), vec![a]);
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -6,11 +6,16 @@
 //!   on any practical campaign range);
 //! * memory accounting is monotone: retirement occupancy dominates
 //!   admission occupancy, both are positive sums over instances, and
-//!   growing the arena never shrinks either.
+//!   growing the arena never shrinks either;
+//! * the `USWM1:` shard-record parser inverts the encoder and rejects
+//!   hostile input with an `Err`, never a panic.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use upsilon_swarm::{instance_seed, run_packed_specs, run_standalone, InstanceSpec, TEMPLATES};
+use upsilon_swarm::{
+    instance_seed, run_packed_specs, run_standalone, InstanceSpec, ShardRecord, SwarmReport,
+    TEMPLATES,
+};
 
 /// A random instance: any checked-in template under a small seed. Small
 /// seeds are as good as large ones here (the scheduler hashes them), and
@@ -129,5 +134,71 @@ proptest! {
         // And the byte sums themselves are window-invariant.
         let (full_pack, _) = run_packed_specs(&specs, 64, 1, None, false);
         prop_assert_eq!(whole, full_pack);
+    }
+}
+
+/// The characters of a canonical mix string (`echo:2,converge-pair:1`).
+const MIX_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789:,-";
+
+/// Generated shard records: any mix spelled in mix characters, any field
+/// values.
+fn record_strategy() -> impl Strategy<Value = ShardRecord> {
+    (vec(0..MIX_CHARS.len(), 0..24), vec(0u64..u64::MAX, 18)).prop_map(|(mix, v)| ShardRecord {
+        mix: mix.into_iter().map(|i| char::from(MIX_CHARS[i])).collect(),
+        instances: v[0],
+        campaign_seed: v[1],
+        shard_index: v[2],
+        shards: v[3],
+        lo: v[4],
+        hi: v[5],
+        batch: v[6],
+        workers: v[7],
+        report: SwarmReport {
+            instances: v[8],
+            packed_bytes: v[9],
+            arena_bytes: v[10],
+            total_steps: v[11],
+            decisions: v[12],
+            fd_queries: v[13],
+            spec_ok: v[14],
+            run_cond_ok: v[15],
+            finished: v[16],
+        },
+    })
+}
+
+proptest! {
+    #[test]
+    fn shard_record_encode_then_parse_is_the_identity(record in record_strategy()) {
+        prop_assert_eq!(ShardRecord::parse(&record.encode()), Ok(record));
+    }
+
+    /// Arbitrary bytes, bare or behind the `USWM1:` prefix so the field
+    /// parser is reached, are rejected with an `Err`.
+    #[test]
+    fn shard_record_rejects_arbitrary_bytes(
+        bytes in vec(0u8..=255, 0..48),
+        prefixed in proptest::bool::ANY,
+    ) {
+        let body = String::from_utf8_lossy(&bytes);
+        let text = if prefixed { format!("USWM1: {body}") } else { body.into_owned() };
+        prop_assert!(ShardRecord::parse(&text).is_err(), "accepted {text:?}");
+    }
+
+    /// One overwritten byte of a valid encoding: the parser returns `Err`
+    /// or a record that round-trips — never a panic.
+    #[test]
+    fn shard_record_single_byte_mutations_never_panic(
+        record in record_strategy(),
+        at in 0usize..1024,
+        byte in 0u8..=255,
+    ) {
+        let mut bytes = record.encode().into_bytes();
+        let i = at % bytes.len();
+        bytes[i] = byte;
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(parsed) = ShardRecord::parse(&text) {
+            prop_assert_eq!(ShardRecord::parse(&parsed.encode()), Ok(parsed));
+        }
     }
 }
