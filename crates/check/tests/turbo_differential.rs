@@ -15,10 +15,16 @@
 //!   coordinate, so reports are `assert_eq!`-identical whatever the
 //!   parallelism, with and without dedup.
 
-use upsilon_check::{check, samples, CheckConfig, CheckReport, Reduction};
-
+use std::sync::Arc;
+use upsilon_agreement::fig1::{self, Fig1Config};
+use upsilon_agreement::KSetAgreementSpec;
+use upsilon_check::{
+    check, samples, AlgoFactory, CheckConfig, CheckReport, ConstantMenu, Reduction,
+};
+use upsilon_extract::pinned_history;
+use upsilon_mem::SnapshotFlavor;
 use upsilon_sim::symmetry::Orbit;
-use upsilon_sim::FdValue;
+use upsilon_sim::{AlgoFn, FdValue, ProcessSet};
 
 /// Builds the report for one portfolio entry under a config transform.
 fn run_with<D: FdValue>(
@@ -199,4 +205,44 @@ fn disabled_reductions_keep_the_expected_verdicts() {
     assert!(!buggy.ok(), "commit-buggy n2 d9 lost its counterexample");
     let stateless = run_with(samples::fig1(2, 7, 0), |c| c.turbo(false));
     assert!(stateless.ok(), "fig1 n2 d7 found a violation");
+}
+
+/// [`samples::fig1`] with its converges over the register-only snapshot:
+/// every snapshot op is a boxed Afek future, so each turbo restore that
+/// rebuilds a process fast-forwards it through those boxed futures.
+fn fig1_register_based(n_plus_1: usize, depth: usize) -> CheckConfig<ProcessSet> {
+    let proposals: Vec<Option<u64>> = (0..n_plus_1).map(|i| Some(i as u64)).collect();
+    let props = proposals.clone();
+    let factory: AlgoFactory<ProcessSet> = Arc::new(move || {
+        let mut algos: Vec<Option<AlgoFn<ProcessSet>>> = Vec::new();
+        algos.resize_with(n_plus_1, || None);
+        let cfg = Fig1Config {
+            flavor: SnapshotFlavor::RegisterBased,
+        };
+        for (pid, a) in fig1::algorithms(cfg, &props) {
+            algos[pid.index()] = Some(a);
+        }
+        algos
+    });
+    let menu = Arc::new(ConstantMenu(pinned_history(n_plus_1)));
+    CheckConfig::new(n_plus_1, depth, factory, menu).spec(KSetAgreementSpec {
+        k: n_plus_1 - 1,
+        proposals,
+    })
+}
+
+#[test]
+fn turbo_replays_through_the_register_based_snapshot() {
+    let turbo = run_with(fig1_register_based(2, 12), |c| {
+        c.turbo(true).reduction(Reduction::Sleep)
+    });
+    let stateless = run_with(fig1_register_based(2, 12), |c| {
+        c.turbo(false).reduction(Reduction::Sleep)
+    });
+    assert_eq!(
+        turbo, stateless,
+        "register-based fig1: turbo vs stateless diverged"
+    );
+    assert!(turbo.ok(), "register-based fig1 found a violation");
+    assert!(turbo.stats.nodes > 8, "the search branched");
 }

@@ -52,11 +52,17 @@ impl<T: Value> Snapshot<T> for FlavoredSnapshot<T> {
     // state the worst case over both flavors: the Afek construction's
     // scan costs n_plus_1 * (n_plus_1 + 2) reads, plus one read and one
     // write for the embedded update.
+    //
+    // The register-based arm is boxed: an `async fn` reserves room for its
+    // largest arm, and the Afek construction's future is several times a
+    // native op's, so inline it would widen every native snapshot op (and
+    // every protocol future that awaits one). Register-based runs pay one
+    // allocation per snapshot op instead.
     // #[conform(wait_free, bound = "n_plus_1 * (n_plus_1 + 2) + 2")]
     async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) -> Result<(), Crashed> {
         match self {
             FlavoredSnapshot::Native(s) => s.update(ctx, v).await,
-            FlavoredSnapshot::RegisterBased(s) => s.update(ctx, v).await,
+            FlavoredSnapshot::RegisterBased(s) => Box::pin(s.update(ctx, v)).await,
         }
     }
 
@@ -64,7 +70,7 @@ impl<T: Value> Snapshot<T> for FlavoredSnapshot<T> {
     async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Result<Vec<Option<T>>, Crashed> {
         match self {
             FlavoredSnapshot::Native(s) => s.scan(ctx).await,
-            FlavoredSnapshot::RegisterBased(s) => s.scan(ctx).await,
+            FlavoredSnapshot::RegisterBased(s) => Box::pin(s.scan(ctx)).await,
         }
     }
 }

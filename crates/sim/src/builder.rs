@@ -482,14 +482,17 @@ impl<D: FdValue> RunCell<D> {
         &self.outputs
     }
 
-    /// The cell's current arena occupancy in bytes: the struct itself plus
-    /// the capacity of every accumulator vector it owns. Engine-side state
-    /// (suspended futures, shared memory) is deliberately excluded — it is
-    /// not sizable through a `dyn` boundary; process-level residency is the
-    /// bench layer's job (RSS deltas). Occupancy is monotone while the cell
-    /// lives: vectors only grow.
+    /// The cell's current arena occupancy in bytes: the struct itself, the
+    /// capacity of every vector it owns, and the engine's side — under the
+    /// inline engine every process's cell and boxed algorithm future, sized
+    /// when the future was built. Shared memory (the world's objects) is
+    /// not counted; process-level residency is the bench layer's job (RSS
+    /// deltas). Occupancy is monotone while the cell lives: vectors only
+    /// grow, and a future stays counted after it resolves.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
+            + self.engine.approx_bytes()
+            + self.has_algo.capacity()
             + self.events.capacity() * std::mem::size_of::<Event<D>>()
             + self.outputs.capacity() * std::mem::size_of::<(Time, ProcessId, Output)>()
             + self.fd_samples.capacity() * std::mem::size_of::<(Time, ProcessId, D)>()

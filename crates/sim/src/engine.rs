@@ -68,6 +68,11 @@ pub(crate) trait Engine<D: FdValue> {
     /// returns the world together with which processes finished their
     /// protocol and the first panic payload (if any).
     fn shutdown(self: Box<Self>) -> EngineShutdown<D>;
+
+    /// Bytes of engine-side state the run owns, for
+    /// [`RunCell::approx_bytes`](crate::RunCell::approx_bytes). Shared
+    /// memory is not counted. Monotone while the run lives.
+    fn approx_bytes(&self) -> usize;
 }
 
 /// Terminal state of an engine after [`Engine::shutdown`].
@@ -217,6 +222,15 @@ impl<D: FdValue> Engine<D> for ThreadEngine<D> {
         }
     }
 
+    /// The engine and its per-process channel and handle slots. The
+    /// algorithm futures live on their process threads and are not counted.
+    fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.grant_txs.capacity() * std::mem::size_of::<Option<Sender<Grant>>>()
+            + self.handles.capacity()
+                * std::mem::size_of::<Option<thread::JoinHandle<ProcOutcome>>>()
+    }
+
     fn shutdown(self: Box<Self>) -> EngineShutdown<D> {
         // Wake every blocked process, then join.
         for tx in self.grant_txs.iter().flatten() {
@@ -260,7 +274,32 @@ struct InlineProc<D: FdValue> {
     /// The algorithm's suspended state machine; `None` once it returned,
     /// panicked, or was cancelled.
     fut: Option<crate::builder::AlgoFuture>,
+    /// The size of `fut`'s boxed state machine, taken when it was built:
+    /// counted for as long as the process slot lives, so a cell's
+    /// occupancy never shrinks when a future resolves.
+    fut_bytes: usize,
     outcome: Option<ProcOutcome>,
+}
+
+impl<D: FdValue> InlineProc<D> {
+    /// A process slot running `algo` on a fresh context over `cell`.
+    fn start(
+        p: ProcessId,
+        n_plus_1: usize,
+        cell: ProcCell<D>,
+        world: &Rc<RefCell<World<D>>>,
+        algo: AlgoFn<D>,
+    ) -> Self {
+        let cell = Rc::new(cell);
+        let ctx = Ctx::inline(p, n_plus_1, Rc::clone(&cell), Rc::clone(world));
+        let fut = algo(ctx);
+        InlineProc {
+            cell,
+            fut_bytes: std::mem::size_of_val(&*fut),
+            fut: Some(fut),
+            outcome: None,
+        }
+    }
 }
 
 /// The single-threaded resumable step engine: every process is a suspended
@@ -279,14 +318,7 @@ impl<D: FdValue> InlineEngine<D> {
             .enumerate()
             .map(|(i, algo)| {
                 algo.map(|algo| {
-                    let cell = Rc::new(ProcCell::new());
-                    let ctx =
-                        Ctx::inline(ProcessId(i), n_plus_1, Rc::clone(&cell), Rc::clone(&world));
-                    InlineProc {
-                        cell,
-                        fut: Some(algo(ctx)),
-                        outcome: None,
-                    }
+                    InlineProc::start(ProcessId(i), n_plus_1, ProcCell::new(), &world, algo)
                 })
             })
             .collect();
@@ -349,14 +381,9 @@ impl<D: FdValue> InlineEngine<D> {
     /// The caller fast-forwards it with [`replay_step`](Self::replay_step).
     pub(crate) fn replace_proc(&mut self, p: ProcessId, algo: AlgoFn<D>) {
         let n_plus_1 = self.procs.len();
-        let cell = Rc::new(ProcCell::new());
+        let cell = ProcCell::new();
         cell.record.set(true);
-        let ctx = Ctx::inline(p, n_plus_1, Rc::clone(&cell), Rc::clone(&self.world));
-        self.procs[p.index()] = Some(InlineProc {
-            cell,
-            fut: Some(algo(ctx)),
-            outcome: None,
-        });
+        self.procs[p.index()] = Some(InlineProc::start(p, n_plus_1, cell, &self.world, algo));
     }
 
     /// Turns per-step result recording on for every live process: each
@@ -462,6 +489,19 @@ impl<D: FdValue> Engine<D> for InlineEngine<D> {
         proc_.fut.as_ref()?;
         proc_.cell.grant.set(Some(Grant::Step(t)));
         Self::poll_proc(proc_)
+    }
+
+    /// The engine, its process slots, and for every process with an
+    /// algorithm its cell and boxed algorithm future (at its launch size).
+    fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.procs.capacity() * std::mem::size_of::<Option<InlineProc<D>>>()
+            + self
+                .procs
+                .iter()
+                .flatten()
+                .map(|proc_| std::mem::size_of::<ProcCell<D>>() + proc_.fut_bytes)
+                .sum::<usize>()
     }
 
     fn shutdown(self: Box<Self>) -> EngineShutdown<D> {

@@ -1,8 +1,8 @@
 //! The per-process execution context and its two execution modes.
 //!
 //! Algorithms are written as ordinary sequential code over a [`Ctx`], made
-//! resumable by the compiler: every `Ctx` operation is an `async fn` whose
-//! future completes exactly when the scheduler grants the process its next
+//! resumable by the compiler: every `Ctx` operation returns a step future
+//! that completes exactly when the scheduler grants the process its next
 //! atomic step. The same algorithm state machine can therefore be driven two
 //! ways (see [`EngineKind`](crate::EngineKind)):
 //!
@@ -29,10 +29,12 @@ use crate::time::Time;
 use crate::trace::{DetailSink, Output, StepKind, TraceLevel};
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::task::Poll;
+use std::task::{Context, Poll};
 
 /// Message from the scheduler to a process: take a step, or stop forever.
 #[derive(Clone, Copy, Debug)]
@@ -127,10 +129,10 @@ enum Mode<D: FdValue> {
 
 /// The per-process execution context handed to algorithm code.
 ///
-/// All methods that take a step are `async` and return `Err(`[`Crashed`]`)`
-/// once the process has crashed according to the failure pattern (or the run
-/// is shutting down); algorithms propagate it with `?`, which models
-/// crash-stop cleanly.
+/// All methods that take a step return a future that resolves to
+/// `Err(`[`Crashed`]`)` once the process has crashed according to the
+/// failure pattern (or the run is shutting down); algorithms propagate it
+/// with `?`, which models crash-stop cleanly.
 ///
 /// # Deadlock hazard: external locks across steps
 ///
@@ -215,65 +217,17 @@ impl<D: FdValue> Ctx<D> {
         self.now.get()
     }
 
-    /// Core step primitive: waits for a grant, runs `f` atomically against
-    /// the shared world, reports the step, returns `f`'s result.
-    ///
-    /// Under the thread engine the wait is a blocking channel receive inside
-    /// `poll` (the future never yields `Pending`); under the inline engine
-    /// the wait *is* `Pending`, and the scheduler's next `poll` of this
-    /// process delivers the grant through its [`ProcCell`].
-    async fn step<R: Clone + Send + 'static>(
-        &self,
-        f: impl FnOnce(&mut World<D>, ProcessId, Time) -> (StepKind<D>, R),
-    ) -> Result<R, Crashed> {
-        match &self.mode {
-            Mode::Thread {
-                grant_rx,
-                reply_tx,
-                world,
-            } => match grant_rx.recv() {
-                Ok(Grant::Step(t)) => {
-                    self.now.set(t);
-                    let (kind, out) = {
-                        let mut world = world.lock().unwrap_or_else(PoisonError::into_inner);
-                        f(&mut world, self.pid, t)
-                    };
-                    // The scheduler always outlives granted steps; if it
-                    // dropped the channel the run is over and we unwind like
-                    // a crash.
-                    match reply_tx.send((self.pid, Reply::Step(kind))) {
-                        Ok(()) => Ok(out),
-                        Err(_) => Err(Crashed),
-                    }
-                }
-                Ok(Grant::Stop) | Err(_) => Err(Crashed),
-            },
-            Mode::Inline { cell, world } => {
-                let granted = std::future::poll_fn(|_cx| match cell.grant.take() {
-                    Some(Grant::Step(t)) => Poll::Ready(Ok(t)),
-                    Some(Grant::Stop) => Poll::Ready(Err(Crashed)),
-                    None => Poll::Pending,
-                })
-                .await;
-                let t = granted?;
-                self.now.set(t);
-                if let Some(prev) = cell.replay.take() {
-                    // Fast-forward replay: this step already happened in the
-                    // run being restored. Return its recorded result without
-                    // re-running `f` (no world mutation, no step report).
-                    let out = prev
-                        .into_any()
-                        .downcast::<R>()
-                        .expect("replayed step result has the recorded type");
-                    return Ok(*out);
-                }
-                let (kind, out) = f(&mut world.borrow_mut(), self.pid, t);
-                if cell.record.get() {
-                    cell.recorded.set(Some(Box::new(out.clone())));
-                }
-                *cell.reply.borrow_mut() = Some(kind);
-                Ok(out)
-            }
+    /// Core step primitive: a [`Step`] future that waits for a grant, runs
+    /// `f` atomically against the shared world, reports the step and
+    /// resolves to `f`'s result.
+    fn step<R, F>(&self, f: F) -> Step<'_, D, F>
+    where
+        R: Clone + Send + 'static,
+        F: FnOnce(&mut World<D>, ProcessId, Time) -> (StepKind<D>, R),
+    {
+        Step {
+            ctx: self,
+            f: Some(f),
         }
     }
 
@@ -283,12 +237,12 @@ impl<D: FdValue> Ctx<D> {
     /// # Errors
     ///
     /// Returns [`Crashed`] if this process crashed or the run ended.
-    pub async fn invoke<O: ObjectType>(
-        &self,
-        key: &Key,
-        init: impl FnOnce() -> O,
+    pub fn invoke<'a, O: ObjectType>(
+        &'a self,
+        key: &'a Key,
+        init: impl FnOnce() -> O + 'a,
         op: O::Op,
-    ) -> Result<O::Resp, Crashed> {
+    ) -> impl Future<Output = Result<O::Resp, Crashed>> + 'a {
         self.step(move |world, pid, _t| {
             let id = world.memory.resolve::<O>(key, init);
             let access = O::access(&op);
@@ -319,7 +273,6 @@ impl<D: FdValue> Ctx<D> {
                 resp,
             )
         })
-        .await
     }
 
     /// Queries this process's failure-detector module: returns `H(p, t)` for
@@ -328,12 +281,11 @@ impl<D: FdValue> Ctx<D> {
     /// # Errors
     ///
     /// Returns [`Crashed`] if this process crashed or the run ended.
-    pub async fn query_fd(&self) -> Result<D, Crashed> {
+    pub fn query_fd(&self) -> impl Future<Output = Result<D, Crashed>> + '_ {
         self.step(|world, pid, t| {
             let v = world.oracle.output(pid, t);
             (StepKind::Query(v.clone()), v)
         })
-        .await
     }
 
     /// Produces an application output (§3.3 item iii). One atomic step.
@@ -345,9 +297,8 @@ impl<D: FdValue> Ctx<D> {
     /// # Errors
     ///
     /// Returns [`Crashed`] if this process crashed or the run ended.
-    pub async fn output(&self, out: Output) -> Result<(), Crashed> {
+    pub fn output(&self, out: Output) -> impl Future<Output = Result<(), Crashed>> + '_ {
         self.step(move |_world, _pid, _t| (StepKind::Output(out), ()))
-            .await
     }
 
     /// Decides `v` — sugar for `output(Output::Decide(v))`.
@@ -355,8 +306,8 @@ impl<D: FdValue> Ctx<D> {
     /// # Errors
     ///
     /// Returns [`Crashed`] if this process crashed or the run ended.
-    pub async fn decide(&self, v: u64) -> Result<(), Crashed> {
-        self.output(Output::Decide(v)).await
+    pub fn decide(&self, v: u64) -> impl Future<Output = Result<(), Crashed>> + '_ {
+        self.output(Output::Decide(v))
     }
 
     /// Takes a step that touches nothing shared. Used to model idle spinning
@@ -365,8 +316,97 @@ impl<D: FdValue> Ctx<D> {
     /// # Errors
     ///
     /// Returns [`Crashed`] if this process crashed or the run ended.
-    pub async fn yield_step(&self) -> Result<(), Crashed> {
-        self.step(|_world, _pid, _t| (StepKind::NoOp, ())).await
+    pub fn yield_step(&self) -> impl Future<Output = Result<(), Crashed>> + '_ {
+        self.step(|_world, _pid, _t| (StepKind::NoOp, ()))
+    }
+}
+
+/// The future of one `Ctx` step: the context it steps on and the closure
+/// the step runs, and nothing else. This is the whole suspended state of a
+/// process parked at a step, so an algorithm's own state machine grows by
+/// exactly this much per nested step, not by a compiler-generated `async`
+/// frame around it.
+///
+/// Under the thread engine `poll` blocks on the grant channel (the future
+/// never yields `Pending`); under the inline engine the wait *is*
+/// `Pending`, and the scheduler's next `poll` of this process delivers the
+/// grant through its [`ProcCell`].
+struct Step<'a, D: FdValue, F> {
+    ctx: &'a Ctx<D>,
+    /// Taken out by value when the step runs (or is replayed); `None`
+    /// once the future has resolved.
+    f: Option<F>,
+}
+
+// The closure is moved out of the option by value and never pinned, so the
+// future is movable whatever `F` is.
+impl<D: FdValue, F> Unpin for Step<'_, D, F> {}
+
+impl<D, R, F> Future for Step<'_, D, F>
+where
+    D: FdValue,
+    R: Clone + Send + 'static,
+    F: FnOnce(&mut World<D>, ProcessId, Time) -> (StepKind<D>, R),
+{
+    type Output = Result<R, Crashed>;
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        let ctx = this.ctx;
+        match &ctx.mode {
+            Mode::Thread {
+                grant_rx,
+                reply_tx,
+                world,
+            } => {
+                let f = this.f.take().expect("step future polled after completion");
+                Poll::Ready(match grant_rx.recv() {
+                    Ok(Grant::Step(t)) => {
+                        ctx.now.set(t);
+                        let (kind, out) = {
+                            let mut world = world.lock().unwrap_or_else(PoisonError::into_inner);
+                            f(&mut world, ctx.pid, t)
+                        };
+                        // The scheduler always outlives granted steps; if it
+                        // dropped the channel the run is over and we unwind
+                        // like a crash.
+                        match reply_tx.send((ctx.pid, Reply::Step(kind))) {
+                            Ok(()) => Ok(out),
+                            Err(_) => Err(Crashed),
+                        }
+                    }
+                    Ok(Grant::Stop) | Err(_) => Err(Crashed),
+                })
+            }
+            Mode::Inline { cell, world } => {
+                let t = match cell.grant.take() {
+                    Some(Grant::Step(t)) => t,
+                    Some(Grant::Stop) => {
+                        this.f = None;
+                        return Poll::Ready(Err(Crashed));
+                    }
+                    None => return Poll::Pending,
+                };
+                let f = this.f.take().expect("step future polled after completion");
+                ctx.now.set(t);
+                if let Some(prev) = cell.replay.take() {
+                    // Fast-forward replay: this step already happened in the
+                    // run being restored. Return its recorded result without
+                    // running `f` (no world mutation, no step report).
+                    let out = prev
+                        .into_any()
+                        .downcast::<R>()
+                        .expect("replayed step result has the recorded type");
+                    return Poll::Ready(Ok(*out));
+                }
+                let (kind, out) = f(&mut world.borrow_mut(), ctx.pid, t);
+                if cell.record.get() {
+                    cell.recorded.set(Some(Box::new(out.clone())));
+                }
+                *cell.reply.borrow_mut() = Some(kind);
+                Poll::Ready(Ok(out))
+            }
+        }
     }
 }
 
